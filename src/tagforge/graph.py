@@ -1,14 +1,20 @@
 """CSR graph representation, validation, symmetric normalization, and the
-sparse row-aggregation kernel shared by the graph models.
+sparse row-aggregation kernels shared by the graph models.
+
+``segment_sum`` and ``spmm`` run as ``scipy.sparse`` CSR-times-dense
+products built on the CSR arrays stored here; ``segment_max`` stays on
+``np.maximum.reduceat``.
 
 Feature matrices are plain 2-D float arrays (rows = nodes); node labels are
 1-D integer arrays. Everything here is immutable after construction and safe
 to share across workers.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 
 class GraphFormatError(ValueError):
@@ -36,7 +42,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
-    """CSR layout plus one positive weight per stored edge."""
+    """CSR layout plus one weight per stored edge: the operand of ``spmm``.
+
+    ``normalize_adjacency`` gives positive symmetric weights; the graph
+    transformer also builds one per attention head.
+    """
 
     num_nodes: int
     row_offsets: np.ndarray
@@ -130,14 +140,16 @@ def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Sum ``values`` over consecutive segments delimited by ``offsets``.
 
     Segment i covers values[offsets[i]:offsets[i+1]] along axis 0; empty
-    segments yield zeros. Summation order within a segment is storage order.
+    segments yield zeros. Computed as the product of the (segments, E)
+    0/1 incidence matrix with ``values`` flattened to (E, rest), which
+    sums each segment in storage order.
     """
-    n = offsets.shape[0] - 1
-    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-    nonempty = np.flatnonzero(np.diff(offsets) > 0)
-    if nonempty.size:
-        out[nonempty] = np.add.reduceat(values, offsets[:-1][nonempty], axis=0)
-    return out
+    n, e = offsets.shape[0] - 1, values.shape[0]
+    incidence = csr_array(
+        (np.ones(e, dtype=values.dtype), np.arange(e), offsets), shape=(n, e)
+    )
+    flat = values.reshape(e, math.prod(values.shape[1:]))  # explicit width: E may be 0
+    return (incidence @ flat).reshape((n,) + values.shape[1:])
 
 
 def segment_max(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -153,8 +165,9 @@ def segment_max(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def spmm(adj: NormalizedAdjacency, h: np.ndarray) -> np.ndarray:
     """Row-aggregation kernel: out[i] = sum_j weight(i, j) * h[j].
 
-    Per-row summation follows CSR storage order, so the result is
-    bit-identical across calls for the same inputs.
+    One CSR-times-dense product over the stored arrays; each row sums its
+    entries in CSR storage order, so the result is bit-identical across
+    calls for the same inputs.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != adj.num_nodes:
@@ -162,5 +175,5 @@ def spmm(adj: NormalizedAdjacency, h: np.ndarray) -> np.ndarray:
             f"feature matrix has {h.shape[0] if h.ndim == 2 else '?'} rows, "
             f"adjacency has {adj.num_nodes} nodes"
         )
-    products = adj.weights[:, None] * h[adj.col_indices]
-    return segment_sum(products, adj.row_offsets)
+    n = adj.num_nodes
+    return csr_array((adj.weights, adj.col_indices, adj.row_offsets), shape=(n, n)) @ h

@@ -99,8 +99,9 @@ class AttentionStructure:
     """Neighbors-plus-self CSR used by transformer layers.
 
     ``rows`` expands row ids per stored entry; ``tperm`` reorders entries
-    into transpose (column-major) order, which doubles as the scatter
-    permutation because the structure is symmetric.
+    into transpose (column-major) order. Because the structure is symmetric,
+    per-edge weights reordered by ``tperm`` on the same offsets and columns
+    form the transposed weighted matrix.
     """
 
     num_nodes: int
@@ -231,13 +232,22 @@ def graph_transformer_layer(h: np.ndarray, structure, params: dict[str, Paramete
     k = (h @ params["W_K"].value).reshape(n, heads, d_head)
     v = (h @ params["W_V"].value).reshape(n, heads, d_head)
 
+    def aggregate(weights, x):
+        """(n, width) concatenation over heads of spmm(CSR of weights[:, head], x[:, head])."""
+        return np.concatenate(
+            [
+                spmm(NormalizedAdjacency(n, offsets, cols, weights[:, head]), x[:, head])
+                for head in range(heads)
+            ],
+            axis=1,
+        )
+
     scores = np.einsum("ehd,ehd->eh", q[rows], k[cols]) * inv_sqrt
     shifted = scores - segment_max(scores, offsets)[rows]
     exps = np.exp(shifted)
     alpha = exps / segment_sum(exps, offsets)[rows]
 
-    messages = segment_sum(alpha[:, :, None] * v[cols], offsets)
-    out = messages.reshape(n, width) + h @ params["W_S"].value + params["b"].value
+    out = aggregate(alpha, v) + h @ params["W_S"].value + params["b"].value
 
     def backward(d_out):
         params["b"].add_grad(d_out.sum(axis=0, keepdims=True))
@@ -246,17 +256,15 @@ def graph_transformer_layer(h: np.ndarray, structure, params: dict[str, Paramete
 
         d_msg = d_out.reshape(n, heads, d_head)
         d_alpha = np.einsum("ehd,ehd->eh", v[cols], d_msg[rows])
-        weighted = alpha[:, :, None] * d_msg[rows]
-        d_v = segment_sum(weighted[tperm], offsets)  # scatter to columns
+        d_v = aggregate(alpha[tperm], d_msg)  # transposed product, see AttentionStructure
 
         # softmax backward per neighborhood segment
         inner = segment_sum(alpha * d_alpha, offsets)
         d_scores = alpha * (d_alpha - inner[rows]) * inv_sqrt
-        d_q = segment_sum(d_scores[:, :, None] * k[cols], offsets)
-        d_k = segment_sum((d_scores[:, :, None] * q[rows])[tperm], offsets)
+        d_q = aggregate(d_scores, k)
+        d_k = aggregate(d_scores[tperm], q)
 
-        for short, grad in (("W_Q", d_q), ("W_K", d_k), ("W_V", d_v)):
-            flat = grad.reshape(n, width)
+        for short, flat in (("W_Q", d_q), ("W_K", d_k), ("W_V", d_v)):
             params[short].add_grad(h.T @ flat)
             d_h = d_h + flat @ params[short].value.T
         return d_h

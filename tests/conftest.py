@@ -66,6 +66,21 @@ def dense_gt_attention(h, graph, params, heads):
     return out, alphas
 
 
+def reference_segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Segment sums by np.add.reduceat, in storage order; empty segments are zero."""
+    n = offsets.shape[0] - 1
+    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
+    nonempty = np.flatnonzero(np.diff(offsets) > 0)
+    if nonempty.size:
+        out[nonempty] = np.add.reduceat(values, offsets[:-1][nonempty], axis=0)
+    return out
+
+
+def reference_spmm(adj, h: np.ndarray) -> np.ndarray:
+    """out[i] = sum_j weight(i, j) * h[j] as a gather plus reference_segment_sum."""
+    return reference_segment_sum(adj.weights[:, None] * h[adj.col_indices], adj.row_offsets)
+
+
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi graph via numpy's own generator (independent of tagforge)."""
     rng = np.random.default_rng(seed)
@@ -145,7 +160,10 @@ class EmbedServer:
             "dim_override": [],
             "vector_fn": _default_vector,
         }
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # a short poll interval lets shutdown() return without waiting out the 0.5 s default
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self.thread.start()
 
     @property

@@ -1,13 +1,18 @@
-"""CSR construction, validation, normalization, and the spmm kernel
-against dense oracles.
+"""CSR construction, validation, normalization, and the segment_sum and
+spmm kernels against dense oracles and the reduceat reference.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_normalized_adjacency, random_graph
+from conftest import (
+    dense_normalized_adjacency,
+    random_graph,
+    reference_segment_sum,
+    reference_spmm,
+)
 from tagforge.graph import (
     Graph,
     GraphFormatError,
@@ -176,3 +181,28 @@ def test_segment_sum_handles_empty_segments():
     offsets = np.array([0, 0, 2, 2, 3])
     out = segment_sum(values, offsets)
     assert out.ravel().tolist() == [0.0, 3.0, 0.0, 3.0]
+
+
+@given(
+    n=st.integers(min_value=1, max_value=20),
+    seed=st.integers(min_value=0, max_value=10_000),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    self_loops=st.booleans(),
+    trailing=st.sampled_from([(), (3,), (2, 3)]),
+)
+@example(n=5, seed=0, p=0.0, self_loops=False, trailing=())  # edgeless: E = 0
+@example(n=5, seed=0, p=0.0, self_loops=False, trailing=(2, 3))
+@settings(max_examples=80, deadline=None)
+def test_csr_kernels_match_reduceat_reference(n, seed, p, self_loops, trailing):
+    # without self loops, isolated nodes are empty rows
+    adj = normalize_adjacency(random_graph(n, p, seed), add_self_loops=self_loops)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(adj.col_indices.size,) + trailing)
+    np.testing.assert_allclose(
+        segment_sum(values, adj.row_offsets),
+        reference_segment_sum(values, adj.row_offsets),
+        rtol=0,
+        atol=1e-12,
+    )
+    h = rng.normal(size=(n, 4))
+    np.testing.assert_allclose(spmm(adj, h), reference_spmm(adj, h), rtol=0, atol=1e-12)

@@ -7,10 +7,11 @@ import pytest
 
 from conftest import dense_gt_attention, dense_normalized_adjacency, random_graph
 from tagforge.data import Dataset, generate_synthetic
-from tagforge.graph import from_edge_list, normalize_adjacency
+from tagforge.graph import NormalizedAdjacency, from_edge_list, normalize_adjacency, spmm
 from tagforge.models import (
     CheckpointFormatError,
     ModelSpec,
+    build_attention_structure,
     build_context,
     forward,
     forward_backward,
@@ -260,6 +261,19 @@ def test_single_step_decreases_training_loss(arch):
     adam_step(model.parameters, state, TrainSpec())
     loss_after, _ = cross_entropy(forward(model, ds, context=context), ds.labels, mask)
     assert loss_after < loss_before
+
+
+def test_tperm_reordered_weights_give_transposed_product():
+    n = 12
+    att = build_attention_structure(random_graph(n, 0.3, 5))
+    rng = np.random.default_rng(5)
+    weights = rng.normal(size=att.col_indices.size)  # weight(i, j) != weight(j, i)
+    dense = np.zeros((n, n))
+    dense[att.rows, att.col_indices] = weights
+    assert not np.allclose(dense, dense.T)
+    x = rng.normal(size=(n, 3))
+    transposed = NormalizedAdjacency(n, att.row_offsets, att.col_indices, weights[att.tperm])
+    np.testing.assert_allclose(spmm(transposed, x), dense.T @ x, rtol=0, atol=1e-12)
 
 
 def test_gt_backward_handles_isolated_nodes():
