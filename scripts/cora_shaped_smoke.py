@@ -47,10 +47,7 @@ def main() -> int:
             split = split_high(ds.num_nodes, seed=seed)
             model = init_parameters(spec, seed)
             results.append(train(model, ds, split, tspec, seed))
-        if len(results) >= 2:
-            mean, std = aggregate(results)
-        else:
-            mean, std = results[0].test_acc_at_best_val, 0.0
+        mean, std = aggregate(results)
         epochs = [r.epochs_ran for r in results]
         print(f"{arch:<18} test {mean * 100:.2f} ± {std * 100:.2f}  "
               f"epochs {epochs}  ({time.time() - started:.0f}s)")

@@ -20,7 +20,6 @@ from .features import (
     remote_embed,
     save_embedding_file,
     tfidf,
-    word_binary,
 )
 from .graph import (
     Graph,
@@ -46,8 +45,6 @@ from .nn import (
     infonce,
     matmul,
     relu,
-    row_softmax,
-    scaled_dot_attention,
 )
 from .rng import SplitMix64
 from .train import (
@@ -93,15 +90,12 @@ __all__ = [
     "normalize_adjacency",
     "relu",
     "remote_embed",
-    "row_softmax",
     "save_checkpoint",
     "save_embedding_file",
-    "scaled_dot_attention",
     "split_high",
     "split_low",
     "spmm",
     "tfidf",
     "train",
     "validate_graph",
-    "word_binary",
 ]

@@ -22,6 +22,13 @@ A benchmark is described by one JSON config file:
 }
 ```
 
+The ``model`` block accepts exactly ``layers``, ``hidden``, ``heads`` and
+``dropout`` (defaults from ``ModelSpec``); ``load_config`` builds one
+``ModelSpec`` per arch from it, so an unknown key, a bad value or ``hidden``
+not divisible by ``heads`` is a ``ConfigError``, as are empty ``seeds``.
+``load_features`` and ``run_seed`` are the one path from a config to a
+trained run; ``run_cell`` and ``tagforge train`` both go through them.
+
 ``split.seed`` is optional: when present the same split is reused for every
 run; when absent each run re-draws its split from the run seed. Prepared
 features live under ``<output.dir>/features/<encoder>.emb``; ``prepare``
@@ -156,7 +163,17 @@ def load_config(path: str) -> BenchConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad train block: {exc}") from exc
 
-    model = dict(blob.get("model", {}))
+    try:
+        model = dict(blob.get("model", {}))
+        for key in ("layers", "hidden", "heads"):
+            if key in model:
+                model[key] = int(model[key])
+        if "dropout" in model:
+            model["dropout"] = float(model["dropout"])
+        for arch in archs:
+            ModelSpec(arch, in_dim=1, num_classes=2, **model)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad model block: {exc}") from exc
     output = dict(blob.get("output", {}))
     out_dir = resolve(output.get("dir", "bench_out"))
     table_format = normalize_format(output.get("format", "markdown"))
@@ -259,30 +276,41 @@ class BenchResult:
         return all(cell.ok for cell in self.cells.values())
 
 
+def load_features(cfg: BenchConfig, encoder: EncoderSpec, dataset: Dataset) -> np.ndarray:
+    """The encoder's prepared feature matrix as float64, one row per node."""
+    path = feature_path(cfg, encoder)
+    if not os.path.exists(path):
+        raise FileNotFoundError(
+            f"features not prepared for encoder {encoder.name!r} "
+            f"(expected {path}; run the prepare command)"
+        )
+    features = load_embedding_file(path).astype(np.float64)
+    if features.shape[0] != dataset.num_nodes:
+        raise ValueError(
+            f"feature file {path} has {features.shape[0]} rows, dataset "
+            f"{dataset.name!r} has {dataset.num_nodes} nodes"
+        )
+    return features
+
+
+def run_seed(
+    cfg: BenchConfig, dataset: Dataset, features: np.ndarray, arch: str, seed: int
+) -> RunResult:
+    """One training run of ``arch`` on ``features`` under the config's protocol."""
+    spec = ModelSpec(arch, features.shape[1], dataset.num_classes, **cfg.model)
+    run_dataset = Dataset(
+        dataset.graph, features, dataset.labels, dataset.num_classes, name=dataset.name
+    )
+    split = make_split(cfg, dataset, seed)
+    model = init_parameters(spec, seed)
+    return train(model, run_dataset, split, cfg.trainspec, seed)
+
+
 def run_cell(
     cfg: BenchConfig, dataset: Dataset, features: np.ndarray, encoder: str, arch: str
 ) -> CellResult:
-    spec = ModelSpec(
-        arch=arch,
-        in_dim=features.shape[1],
-        num_classes=dataset.num_classes,
-        layers=int(cfg.model.get("layers", 4)),
-        hidden=int(cfg.model.get("hidden", 64)),
-        heads=int(cfg.model.get("heads", 4)),
-        dropout=float(cfg.model.get("dropout", 0.5)),
-    )
-    cell_dataset = Dataset(
-        dataset.graph, features, dataset.labels, dataset.num_classes, name=dataset.name
-    )
-    results: list[RunResult] = []
-    for seed in cfg.seeds:
-        split = make_split(cfg, dataset, seed)
-        model = init_parameters(spec, seed)
-        results.append(train(model, cell_dataset, split, cfg.trainspec, seed))
-    if len(results) >= 2:
-        mean, std = aggregate(results)
-    else:
-        mean, std = results[0].test_acc_at_best_val, 0.0
+    results = [run_seed(cfg, dataset, features, arch, seed) for seed in cfg.seeds]
+    mean, std = aggregate(results)
     return CellResult(encoder, arch, mean, std, [r.epochs_ran for r in results])
 
 
@@ -295,20 +323,8 @@ def run_bench(cfg: BenchConfig, log=None) -> BenchResult:
 
     feature_cache: dict[str, np.ndarray | Exception] = {}
     for encoder in cfg.encoders:
-        path = feature_path(cfg, encoder)
         try:
-            if not os.path.exists(path):
-                raise FileNotFoundError(
-                    f"features not prepared for encoder {encoder.name!r} "
-                    f"(expected {path}; run the prepare command)"
-                )
-            features = load_embedding_file(path).astype(np.float64)
-            if features.shape[0] != dataset.num_nodes:
-                raise ValueError(
-                    f"feature file {path} has {features.shape[0]} rows, dataset "
-                    f"{dataset.name!r} has {dataset.num_nodes} nodes"
-                )
-            feature_cache[encoder.name] = features
+            feature_cache[encoder.name] = load_features(cfg, encoder, dataset)
         except Exception as exc:  # noqa: BLE001 - cell-level isolation
             feature_cache[encoder.name] = exc
 

@@ -4,28 +4,25 @@ Exit codes: 0 success, 1 run failure, 2 config error.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
-
-import numpy as np
 
 from .bench import (
     BenchConfig,
     ConfigError,
-    feature_path,
     load_bench_dataset,
     load_config,
-    make_split,
+    load_features,
     normalize_format,
     prepare,
     render,
     run_bench,
+    run_seed,
     write_outputs,
 )
-from .features import load_embedding_file
 from .gradcheck import TOLERANCE, run_gradcheck
-from .models import ModelSpec, init_parameters
-from .train import run_log_lines, train
+from .train import run_log_lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,14 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: BenchConfig, args) -> BenchConfig:
     if getattr(args, "out", None):
         cfg.out_dir = os.path.abspath(args.out)
-    if getattr(args, "seeds", None):
-        cfg.trainspec = type(cfg.trainspec)(
-            epochs=cfg.trainspec.epochs,
-            patience=cfg.trainspec.patience,
-            lr=cfg.trainspec.lr,
-            weight_decay=cfg.trainspec.weight_decay,
-            seeds=tuple(range(args.seeds)),
-        )
+    if getattr(args, "seeds", None) is not None:
+        try:
+            cfg.trainspec = dataclasses.replace(cfg.trainspec, seeds=tuple(range(args.seeds)))
+        except ValueError as exc:
+            raise ConfigError(f"--seeds {args.seeds}: {exc}") from exc
     if getattr(args, "format", None):
         cfg.table_format = normalize_format(args.format)
     return cfg
@@ -98,31 +92,8 @@ def _cmd_train(args) -> int:
     if args.arch not in cfg.archs:
         raise ConfigError(f"arch {args.arch!r} not in config archs {cfg.archs}")
     dataset = load_bench_dataset(cfg)
-    path = feature_path(cfg, by_name[args.encoder])
-    if not os.path.exists(path):
-        print(f"error: features not prepared: {path} (run: tagforge prepare)", file=sys.stderr)
-        return 1
-    features = load_embedding_file(path).astype(np.float64)
-    if features.shape[0] != dataset.num_nodes:
-        print(
-            f"error: feature file {path} has {features.shape[0]} rows but dataset "
-            f"{dataset.name!r} has {dataset.num_nodes} nodes",
-            file=sys.stderr,
-        )
-        return 1
-    spec = ModelSpec(
-        arch=args.arch,
-        in_dim=features.shape[1],
-        num_classes=dataset.num_classes,
-        layers=int(cfg.model.get("layers", 4)),
-        hidden=int(cfg.model.get("hidden", 64)),
-        heads=int(cfg.model.get("heads", 4)),
-        dropout=float(cfg.model.get("dropout", 0.5)),
-    )
-    dataset.features = features
-    split = make_split(cfg, dataset, args.seed)
-    model = init_parameters(spec, args.seed)
-    result = train(model, dataset, split, cfg.trainspec, args.seed)
+    features = load_features(cfg, by_name[args.encoder], dataset)
+    result = run_seed(cfg, dataset, features, args.arch, args.seed)
     print(f"encoder={args.encoder} arch={args.arch} seed={args.seed}")
     print(f"best_val_acc={result.best_val_acc:.4f}")
     print(f"test_acc={result.test_acc_at_best_val:.4f}")

@@ -130,12 +130,6 @@ def tfidf(corpus: list[str], vocab_size: int) -> tuple[np.ndarray, list[str]]:
     return weighted / np.where(norms == 0.0, 1.0, norms), vocab
 
 
-def word_binary(corpus: list[str], vocab_size: int) -> np.ndarray:
-    """Binary keyword-presence matrix over the TF-IDF vocabulary."""
-    vocab = build_vocab(corpus, vocab_size)
-    return (_term_count_matrix(corpus, vocab) > 0).astype(np.float64)
-
-
 def save_embedding_file(path: str, matrix: np.ndarray) -> None:
     """Write an EMB1 file (float32). The write is atomic."""
     m = np.ascontiguousarray(matrix, dtype="<f4")

@@ -21,8 +21,6 @@ from .nn import (
     dropout,
     matmul,
     relu,
-    row_softmax,
-    scaled_dot_attention,
 )
 from .rng import SplitMix64
 
@@ -103,32 +101,6 @@ def _check_dropout(seed: int) -> float:
     out, mask = dropout(x, 0.6, rng=SplitMix64(seed + 1), training=True)
     d_x = mask.apply(weights)
     return rel_error(d_x, numeric_grad(lambda: _projection_loss(apply_fixed(), weights), x))
-
-
-def _check_row_softmax(seed: int) -> float:
-    rng = SplitMix64(seed)
-    x = rng.normal((5, 6))
-    weights = rng.normal((5, 6))
-    _, backward = row_softmax(x)
-    d_x = backward(weights)
-    return rel_error(
-        d_x, numeric_grad(lambda: _projection_loss(row_softmax(x)[0], weights), x)
-    )
-
-
-def _check_attention(seed: int) -> float:
-    rng = SplitMix64(seed)
-    q, k, v = rng.normal((4, 3)), rng.normal((5, 3)), rng.normal((5, 2))
-    weights = rng.normal((4, 2))
-    _, backward = scaled_dot_attention(q, k, v)
-    analytic = backward(weights)
-    errs = []
-    for target, grad in zip((q, k, v), analytic):
-        numeric = numeric_grad(
-            lambda: _projection_loss(scaled_dot_attention(q, k, v)[0], weights), target
-        )
-        errs.append(rel_error(grad, numeric))
-    return max(errs)
 
 
 def _check_cross_entropy(seed: int) -> float:
@@ -214,8 +186,6 @@ CHECKS: dict[str, callable] = {
     "add_bias": _check_add_bias,
     "relu": _check_relu,
     "dropout": _check_dropout,
-    "row_softmax": _check_row_softmax,
-    "scaled_dot_attention": _check_attention,
     "cross_entropy": _check_cross_entropy,
     "mlp_layer": _check_mlp_layer,
     "gcn_layer": _check_gcn_layer,

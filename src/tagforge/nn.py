@@ -6,8 +6,6 @@ There is no general tape here: models assemble these closures themselves
 and walk them in reverse. All math is float64 unless callers pass float32.
 """
 
-import math
-
 import numpy as np
 
 
@@ -106,42 +104,6 @@ def dropout(x: np.ndarray, keep_prob: float, rng=None, training: bool = True):
 
 def dropout_backward(dm: DropoutMask, d_out: np.ndarray) -> np.ndarray:
     return dm.apply(d_out)
-
-
-def row_softmax(x: np.ndarray):
-    """Row-wise softmax with per-row max subtraction for stability."""
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def backward(d_out):
-        inner = (d_out * out).sum(axis=1, keepdims=True)
-        return out * (d_out - inner)
-
-    return out, backward
-
-
-def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
-    """Dense attention: softmax(q k^T / sqrt(d_k)) v.
-
-    Backward returns (dQ, dK, dV).
-    """
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"query dim {q.shape[1]} != key dim {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"{k.shape[0]} keys but {v.shape[0]} values")
-    inv_sqrt_dk = 1.0 / math.sqrt(q.shape[1])
-    scores = (q @ k.T) * inv_sqrt_dk
-    probs, softmax_back = row_softmax(scores)
-    out = probs @ v
-
-    def backward(d_out):
-        d_probs = d_out @ v.T
-        d_v = probs.T @ d_out
-        d_scores = softmax_back(d_probs)
-        return d_scores @ k * inv_sqrt_dk, d_scores.T @ q * inv_sqrt_dk, d_v
-
-    return out, backward
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):

@@ -87,6 +87,10 @@ def test_config_invalid_json(tmp_path):
         ({"train": {"epochs": 0}}, "train block"),
         ({"output": {"format": "xml"}}, "format"),
         ({"workers": 0}, "workers"),
+        ({"model": {"hiden": 8}}, "model block"),
+        ({"archs": ["graph_transformer"], "model": {"hidden": 10, "heads": 4}},
+         "model block"),
+        ({"train": {"seeds": []}}, "train block"),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, overrides, message):
@@ -323,6 +327,22 @@ def test_cli_train_prints_metrics_and_is_repeatable(tmp_path, capsys):
         == [l for l in second.splitlines() if l.startswith(("best_val", "test_acc", "epochs"))]
 
 
+def test_cli_train_matches_one_seed_bench(tmp_path, capsys):
+    # train and bench share run_seed, so one seed gives the same accuracy
+    config = _write_config(tmp_path, archs=["graph_transformer"],
+                           train={"epochs": 15, "patience": 15, "seeds": [3]})
+    main(["prepare", "--config", config])
+    assert main(["bench", "--config", config]) == 0
+    capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "out" / "bench.csv").read_text())))
+    for row in rows:
+        assert main(["train", "--config", config, "--encoder", row["encoder"],
+                     "--arch", "graph_transformer", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        test_acc = next(l for l in out.splitlines() if l.startswith("test_acc="))
+        assert test_acc == f"test_acc={float(row['mean_pct']) / 100:.4f}"
+
+
 def test_cli_train_bad_feature_file_fails(tmp_path, capsys):
     config = _write_config(tmp_path)
     main(["prepare", "--config", config])
@@ -407,6 +427,12 @@ def test_cli_seeds_override(tmp_path, capsys):
     capsys.readouterr()
     rows = list(csv.DictReader(io.StringIO((tmp_path / "out" / "bench.csv").read_text())))
     assert all(row["seeds"] == "0;1;2" for row in rows)
+
+
+def test_cli_zero_seeds_is_config_error(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert main(["bench", "--config", config, "--seeds", "0"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cli_full_matrix_on_planetoid_dataset(tmp_path, capsys):

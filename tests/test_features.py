@@ -19,7 +19,6 @@ from tagforge.features import (
     save_embedding_file,
     tfidf,
     tokenize,
-    word_binary,
 )
 
 
@@ -77,20 +76,6 @@ def test_tfidf_rows_unit_or_zero_norm():
 def test_tfidf_empty_corpus():
     with pytest.raises(ValueError):
         tfidf([], vocab_size=3)
-
-
-def test_word_binary_presence_matrix():
-    matrix = word_binary(["a b c", "", "b"], vocab_size=3)
-    assert matrix.shape == (3, 3)
-    assert set(np.unique(matrix)) <= {0.0, 1.0}
-    assert matrix[0].sum() == 3  # every vocab term present
-    assert matrix[1].sum() == 0  # empty document
-
-
-def test_word_binary_values_binary_on_random_corpus():
-    corpus = [" ".join(f"t{(i * j) % 7}" for j in range(5)) for i in range(12)]
-    matrix = word_binary(corpus, vocab_size=5)
-    assert set(np.unique(matrix)) <= {0.0, 1.0}
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from tagforge.gradcheck import numeric_grad, rel_error
 from tagforge.nn import (
@@ -18,8 +15,6 @@ from tagforge.nn import (
     infonce,
     matmul,
     relu,
-    row_softmax,
-    scaled_dot_attention,
 )
 from tagforge.rng import SplitMix64
 
@@ -102,70 +97,6 @@ def test_dropout_deterministic_per_stream():
     a, _ = dropout(x, 0.7, rng=SplitMix64(5), training=True)
     b, _ = dropout(x, 0.7, rng=SplitMix64(5), training=True)
     assert np.array_equal(a, b)
-
-
-def test_row_softmax_uniform_rows():
-    out, _ = row_softmax(np.full((3, 4), 2.5))
-    assert np.abs(out - 0.25).max() < 1e-15
-
-
-def test_row_softmax_huge_values_stable():
-    out, _ = row_softmax(np.array([[1000.0, 1000.0]]))
-    assert np.allclose(out, [[0.5, 0.5]])
-    assert np.isfinite(out).all()
-
-
-def test_row_softmax_matches_naive_oracle():
-    x = SplitMix64(3).normal((4, 5))
-    naive = np.exp(x) / np.exp(x).sum(axis=1, keepdims=True)
-    out, _ = row_softmax(x)
-    assert np.abs(out - naive).max() < 1e-12
-
-
-@given(
-    arrays(
-        np.float64,
-        (3, 4),
-        elements=st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
-    )
-)
-@settings(max_examples=80, deadline=None)
-def test_row_softmax_rows_sum_to_one_for_any_finite_input(x):
-    out, _ = row_softmax(x)
-    assert np.all(out >= 0.0)
-    assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
-
-
-def test_attention_uniform_when_query_is_zero():
-    out, _ = scaled_dot_attention(
-        np.array([[0.0]]), np.array([[0.0], [0.0]]), np.array([[1.0], [3.0]])
-    )
-    assert np.allclose(out, [[2.0]])
-
-
-def test_attention_single_key_returns_value():
-    v = np.array([[1.5, -2.0]])
-    out, _ = scaled_dot_attention(np.array([[3.0], [1.0]]), np.array([[2.0]]), v)
-    assert np.allclose(out, np.vstack([v, v]))
-
-
-def test_attention_matches_step_by_step_oracle():
-    rng = SplitMix64(11)
-    q, k, v = rng.normal((3, 3)), rng.normal((3, 3)), rng.normal((3, 3))
-    scores = q @ k.T / math.sqrt(3)
-    expected = np.zeros((3, 3))
-    for i in range(3):
-        e = np.exp(scores[i] - scores[i].max())
-        expected[i] = (e / e.sum()) @ v
-    out, _ = scaled_dot_attention(q, k, v)
-    assert np.abs(out - expected).max() < 1e-12
-
-
-def test_attention_shape_checks():
-    with pytest.raises(ValueError):
-        scaled_dot_attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        scaled_dot_attention(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 def test_cross_entropy_uniform_logits():

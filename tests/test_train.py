@@ -1,5 +1,6 @@
 """Optimizer math, the training protocol, evaluation, aggregation."""
 
+import importlib
 import math
 
 import numpy as np
@@ -89,6 +90,8 @@ def test_trainspec_validation():
         TrainSpec(patience=0)
     with pytest.raises(ValueError):
         TrainSpec(lr=0.0)
+    with pytest.raises(ValueError, match="seed"):
+        TrainSpec(seeds=())
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +204,18 @@ def test_reported_accuracy_matches_restored_snapshot():
     assert evaluate(model, ds, split.test, context) == result.test_acc_at_best_val
 
 
+def test_train_mlp_builds_no_propagation_context(monkeypatch):
+    def no_context(graph):
+        raise AssertionError("MLP training built a propagation context")
+
+    # the module, not the function that tagforge re-exports as ``tagforge.train``
+    monkeypatch.setattr(importlib.import_module("tagforge.train"), "build_context", no_context)
+    ds, split = _toy()
+    spec = ModelSpec("mlp", in_dim=8, num_classes=2)
+    result = train(init_parameters(spec, 0), ds, split, TrainSpec(epochs=5), seed=0)
+    assert result.epochs_ran == 5
+
+
 def test_train_rejects_bad_split():
     ds, _ = _toy()
     bad = SplitMask(np.array([0, 1]), np.array([1, 2]), np.array([3]))
@@ -232,9 +247,10 @@ def test_aggregate_order_invariant():
     assert aggregate(rs) == aggregate(list(reversed(rs)))
 
 
-def test_aggregate_needs_two_runs():
+def test_aggregate_needs_at_least_one_run():
     with pytest.raises(ValueError):
-        aggregate([_result(0.5)])
+        aggregate([])
+    assert aggregate([_result(0.55)]) == (0.55, 0.0)
 
 
 def test_run_log_lines_field_order():
