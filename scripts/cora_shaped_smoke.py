@@ -18,7 +18,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from tagforge.data import generate_synthetic, split_high
-from tagforge.models import ModelSpec, init_parameters
+from tagforge.models import ARCHITECTURES, ModelSpec, init_parameters
 from tagforge.train import TrainSpec, aggregate, train
 
 
@@ -39,7 +39,7 @@ def main() -> int:
           f"(avg degree {degrees:.1f})")
 
     tspec = TrainSpec(seeds=tuple(range(args.seeds)))
-    for arch in ("gcn", "graph_transformer", "mlp"):
+    for arch in ARCHITECTURES:
         spec = ModelSpec(arch, in_dim=32, num_classes=7)
         results = []
         started = time.time()

@@ -22,10 +22,11 @@ A benchmark is described by one JSON config file:
 }
 ```
 
-The ``model`` block accepts exactly ``layers``, ``hidden``, ``heads`` and
-``dropout`` (defaults from ``ModelSpec``); ``load_config`` builds one
-``ModelSpec`` per arch from it, so an unknown key, a bad value or ``hidden``
-not divisible by ``heads`` is a ``ConfigError``, as are empty ``seeds``.
+Every block accepts only the keys shown above (``model`` defaults come
+from ``ModelSpec``). ``load_config`` coerces the ``split``, ``model`` and
+``workers`` values and builds one ``ModelSpec`` per arch, so an unknown key
+at any level, a value of the wrong type, ``hidden`` not divisible by
+``heads`` or empty ``seeds`` is a ``ConfigError``.
 ``load_features`` and ``run_seed`` are the one path from a config to a
 trained run; ``run_cell`` and ``tagforge train`` both go through them.
 
@@ -52,7 +53,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, SplitMask, generate_synthetic, load_planetoid, split_high, split_low
-from .features import EncoderSpec, load_embedding_file, remote_embed, save_embedding_file, tfidf
+from .features import (
+    EncoderSpec,
+    _atomic_write,
+    load_embedding_file,
+    remote_embed,
+    save_embedding_file,
+    tfidf,
+)
 from .models import ARCHITECTURES, ModelSpec, init_parameters
 from .train import RunResult, TrainSpec, aggregate, train
 
@@ -60,6 +68,13 @@ TABLE_FORMATS = ("markdown", "latex", "csv")
 _FORMAT_ALIASES = {"md": "markdown", "tex": "latex", "markdown": "markdown",
                    "latex": "latex", "csv": "csv"}
 _FORMAT_SUFFIX = {"markdown": "md", "latex": "tex", "csv": "csv"}
+_TOP_KEYS = {"dataset", "encoders", "archs", "split", "train", "model", "output", "workers"}
+_DATASET_KEYS = {
+    "planetoid": {"kind", "dir", "name"},
+    "synthetic": {"kind", "n", "classes", "p_in", "p_out", "dim", "sep", "seed"},
+}
+_SPLIT_KEYS = {"protocol", "per_class", "n_val", "n_test", "seed"}
+_OUTPUT_KEYS = {"dir", "format"}
 
 
 class ConfigError(ValueError):
@@ -89,6 +104,12 @@ def normalize_format(fmt: str) -> str:
     return _FORMAT_ALIASES[fmt]
 
 
+def _reject_unknown(path: str, where: str, block: dict, known: set[str]) -> None:
+    unknown = sorted(set(block) - known)
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {unknown[0]!r} in {where}")
+
+
 def load_config(path: str) -> BenchConfig:
     """Parse and validate a benchmark config file."""
     try:
@@ -109,6 +130,7 @@ def load_config(path: str) -> BenchConfig:
         archs = list(blob["archs"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: missing required key: {exc}") from exc
+    _reject_unknown(path, "the top level", blob, _TOP_KEYS)
     if not encoder_blobs or not archs:
         raise ConfigError(f"{path}: need at least one encoder and one arch")
     for arch in archs:
@@ -132,6 +154,7 @@ def load_config(path: str) -> BenchConfig:
                 raise ConfigError(f"{path}: synthetic dataset needs {key!r}")
     else:
         raise ConfigError(f"{path}: dataset kind must be planetoid or synthetic")
+    _reject_unknown(path, f"the {kind} dataset", dataset, _DATASET_KEYS[kind])
 
     encoders = []
     for enc in encoder_blobs:
@@ -152,8 +175,17 @@ def load_config(path: str) -> BenchConfig:
         raise ConfigError(f"{path}: duplicate encoder names")
 
     split = dict(blob.get("split", {"protocol": "high"}))
+    _reject_unknown(path, "split", split, _SPLIT_KEYS)
     if split.get("protocol") not in ("low", "high"):
         raise ConfigError(f"{path}: split.protocol must be 'low' or 'high'")
+    try:
+        for key in ("per_class", "n_val", "n_test"):
+            if key in split:
+                split[key] = int(split[key])
+        if split.get("seed") is not None:
+            split["seed"] = int(split["seed"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad split block: {exc}") from exc
 
     train_blob = dict(blob.get("train", {}))
     if "seeds" in train_blob:
@@ -175,9 +207,13 @@ def load_config(path: str) -> BenchConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad model block: {exc}") from exc
     output = dict(blob.get("output", {}))
+    _reject_unknown(path, "output", output, _OUTPUT_KEYS)
     out_dir = resolve(output.get("dir", "bench_out"))
     table_format = normalize_format(output.get("format", "markdown"))
-    workers = int(blob.get("workers", 1))
+    try:
+        workers = int(blob.get("workers", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: workers must be an integer: {exc}") from exc
     if workers < 1:
         raise ConfigError(f"{path}: workers must be >= 1")
     return BenchConfig(dataset, encoders, archs, split, trainspec, model, out_dir,
@@ -236,14 +272,14 @@ def prepare(cfg: BenchConfig, force: bool = False) -> list[str]:
 
 def make_split(cfg: BenchConfig, dataset: Dataset, run_seed: int) -> SplitMask:
     split = cfg.split
-    seed = int(split["seed"]) if split.get("seed") is not None else run_seed
+    seed = split["seed"] if split.get("seed") is not None else run_seed
     if split["protocol"] == "low":
         return split_low(
             dataset.labels,
             num_classes=dataset.num_classes,
-            per_class=int(split.get("per_class", 20)),
-            n_val=int(split.get("n_val", 500)),
-            n_test=int(split.get("n_test", 1000)),
+            per_class=split.get("per_class", 20),
+            n_val=split.get("n_val", 500),
+            n_test=split.get("n_test", 1000),
             seed=seed,
         )
     return split_high(dataset.num_nodes, seed=seed)
@@ -433,16 +469,11 @@ def render(result: BenchResult, table_format: str) -> str:
 
 
 def write_outputs(result: BenchResult, cfg: BenchConfig) -> list[str]:
-    """Write the formatted table and the CSV; returns written paths."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    paths = []
-    csv_path = os.path.join(cfg.out_dir, "bench.csv")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(to_csv(result))
-    paths.append(csv_path)
+    """Write the CSV and the formatted table, each atomically (an
+    interrupted write leaves the previous file); returns written paths."""
+    paths = [os.path.join(cfg.out_dir, "bench.csv")]
+    _atomic_write(paths[0], to_csv(result).encode())
     if cfg.table_format != "csv":
-        table_path = os.path.join(cfg.out_dir, f"bench.{_FORMAT_SUFFIX[cfg.table_format]}")
-        with open(table_path, "w") as fh:
-            fh.write(render(result, cfg.table_format))
-        paths.append(table_path)
+        paths.append(os.path.join(cfg.out_dir, f"bench.{_FORMAT_SUFFIX[cfg.table_format]}"))
+        _atomic_write(paths[1], render(result, cfg.table_format).encode())
     return paths

@@ -22,6 +22,7 @@ from .bench import (
     write_outputs,
 )
 from .gradcheck import TOLERANCE, run_gradcheck
+from .models import ARCHITECTURES
 from .train import run_log_lines
 
 
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="single training run for one encoder and arch")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--encoder", required=True, help="encoder name from the config")
-    p_train.add_argument("--arch", required=True, choices=["gcn", "graph_transformer", "mlp"])
+    p_train.add_argument("--arch", required=True, choices=ARCHITECTURES)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", help="write the per-epoch log (TSV) to this path")
 

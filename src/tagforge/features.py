@@ -19,7 +19,6 @@ import json
 import os
 import re
 import struct
-import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -162,7 +161,9 @@ def load_embedding_file(path: str) -> np.ndarray:
 def _atomic_write(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # created as open() would (0o666 less the umask), not 0o600 as by mkstemp
+    tmp = os.path.join(directory, f"{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

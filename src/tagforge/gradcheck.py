@@ -8,12 +8,12 @@ line (``tagforge gradcheck``) and inside the test suite.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .data import generate_synthetic
-from .graph import normalize_adjacency
-from .models import build_attention_structure, gcn_layer, graph_transformer_layer, mlp_layer
+from .models import ARCH_TABLE, ARCHITECTURES, build_context
 from .nn import (
     Parameter,
     add_bias,
@@ -113,67 +113,24 @@ def _check_cross_entropy(seed: int) -> float:
     return rel_error(d_logits, numeric)
 
 
-def _toy_graph(seed: int):
-    ds = generate_synthetic(n=6, num_classes=2, p_in=0.9, p_out=0.4, dim=3, sep=1.0, seed=seed)
-    return ds.graph
-
-
-def _check_mlp_layer(seed: int) -> float:
+def _check_layer(arch: str, seed: int) -> float:
+    """One arch's layer call on a 6-node graph, 4 -> 6 wide, with the table's
+    parameter shapes, random non-zero biases and 2 heads if multi-head."""
+    row = ARCH_TABLE[arch]
+    heads = 2 if row.multi_head else 1
     rng = SplitMix64(seed)
-    h = rng.normal((6, 3))
-    W = Parameter(rng.normal((3, 4)), "W")
-    b = Parameter(rng.normal((1, 4)), "b")
-    weights = rng.normal((6, 4))
-
-    def loss():
-        return _projection_loss(mlp_layer(h, W, b)[0], weights)
-
-    _, backward = mlp_layer(h, W, b)
-    d_h = backward(weights)
-    errs = [rel_error(d_h, numeric_grad(loss, h))]
-    for p in (W, b):
-        errs.append(rel_error(p.grad, numeric_grad(loss, p.value)))
-    return max(errs)
-
-
-def _check_gcn_layer(seed: int) -> float:
-    rng = SplitMix64(seed)
-    adj = normalize_adjacency(_toy_graph(seed))
-    h = rng.normal((6, 3))
-    W = Parameter(rng.normal((3, 4)), "W")
-    b = Parameter(rng.normal((1, 4)), "b")
-    weights = rng.normal((6, 4))
-
-    def loss():
-        return _projection_loss(gcn_layer(h, adj, W, b)[0], weights)
-
-    _, backward = gcn_layer(h, adj, W, b)
-    d_h = backward(weights)
-    errs = [rel_error(d_h, numeric_grad(loss, h))]
-    for p in (W, b):
-        errs.append(rel_error(p.grad, numeric_grad(loss, p.value)))
-    return max(errs)
-
-
-def _check_graph_transformer_layer(seed: int) -> float:
-    rng = SplitMix64(seed)
-    att = build_attention_structure(_toy_graph(seed))
-    heads, d_head, d_in = 2, 3, 4
-    width = heads * d_head
-    h = rng.normal((6, d_in))
+    graph = generate_synthetic(6, 2, p_in=0.9, p_out=0.4, dim=3, sep=1.0, seed=seed).graph
+    context = build_context(graph)
+    h = rng.normal((6, 4))
     params = {
-        "W_Q": Parameter(rng.normal((d_in, width)), "W_Q"),
-        "W_K": Parameter(rng.normal((d_in, width)), "W_K"),
-        "W_V": Parameter(rng.normal((d_in, width)), "W_V"),
-        "W_S": Parameter(rng.normal((d_in, width)), "W_S"),
-        "b": Parameter(rng.normal((1, width)), "b"),
+        short: Parameter(rng.normal(shape), short) for short, shape in row.shapes(4, 6).items()
     }
-    weights = rng.normal((6, width))
+    weights = rng.normal((6, 6))
 
     def loss():
-        return _projection_loss(graph_transformer_layer(h, att, params, heads)[0], weights)
+        return _projection_loss(row.call(h, context, params, heads)[0], weights)
 
-    _, backward = graph_transformer_layer(h, att, params, heads)
+    _, backward = row.call(h, context, params, heads)
     d_h = backward(weights)
     errs = [rel_error(d_h, numeric_grad(loss, h))]
     for p in params.values():
@@ -187,9 +144,7 @@ CHECKS: dict[str, callable] = {
     "relu": _check_relu,
     "dropout": _check_dropout,
     "cross_entropy": _check_cross_entropy,
-    "mlp_layer": _check_mlp_layer,
-    "gcn_layer": _check_gcn_layer,
-    "graph_transformer_layer": _check_graph_transformer_layer,
+    **{f"{arch}_layer": partial(_check_layer, arch) for arch in ARCHITECTURES},
 }
 
 

@@ -1,18 +1,19 @@
 """The three node-classification architectures assembled from nn primitives.
 
-Parameter shape table (layer index l = 0..L-1, widths d_0 = in_dim,
-d_1..d_{L-1} = hidden, d_L = num_classes):
+``ARCH_TABLE`` maps each arch to what differs between them: per-layer
+parameter shapes ``(d_in, d_out) -> {short: shape}``, the layer call
+``(h, context, params, heads) -> (out, backward)``, whether hidden layers
+are multi-head, and whether the layer reads a ``PropagationContext`` (MLP
+does not). Init, checkpoints, ``forward_backward`` and ``gradcheck`` all
+read it. Calls name the layer functions as module globals, looked up when
+they run, so a wrapper installed on ``models.<layer>`` sees every call.
 
-===================  =======================================================
-arch                 parameters per layer l (d_in = d_l, d_out = d_{l+1})
-===================  =======================================================
-mlp / gcn            ``layer{l}.W`` (d_in, d_out); ``layer{l}.b`` (1, d_out)
-graph_transformer    ``layer{l}.W_Q|W_K|W_V`` (d_in, H*d_head);
-                     ``layer{l}.W_S`` (d_in, H*d_head); ``layer{l}.b``
-                     (1, H*d_head) where hidden layers use H = spec.heads,
-                     d_head = hidden // heads, and the final layer uses a
-                     single head with d_head = num_classes
-===================  =======================================================
+Layer l = 0..L-1 maps d_l -> d_{l+1}, with d_0 = in_dim, hidden widths in
+between and d_L = num_classes. MLP and GCN layers hold ``layer{l}.W``
+(d_in, d_out) and ``layer{l}.b`` (1, d_out). Graph-transformer layers
+hold ``W_Q|W_K|W_V|W_S`` (d_in, d_out) and ``b`` (1, d_out), with d_out =
+heads * d_head: hidden layers use spec.heads heads, the final layer one
+head of width num_classes.
 
 Weights are Glorot-uniform, U(-a, a) with a = sqrt(6 / (fan_in + fan_out));
 biases start at zero. Initialization draws weights in table order from one
@@ -27,7 +28,8 @@ rows*cols float64 values row-major.
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,8 +45,6 @@ from .graph import (
 )
 from .nn import Parameter, add_bias, dropout, dropout_backward, matmul, relu
 from .rng import SplitMix64
-
-ARCHITECTURES = ("gcn", "graph_transformer", "mlp")
 
 
 class CheckpointFormatError(ValueError):
@@ -62,29 +62,39 @@ class ModelSpec:
     dropout: float = 0.5
 
     def __post_init__(self):
-        if self.arch not in ARCHITECTURES:
+        if self.arch not in ARCH_TABLE:
             raise ValueError(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
         if self.layers < 2:
             raise ValueError("need at least 2 layers")
         if self.in_dim < 1 or self.num_classes < 2 or self.hidden < 1:
             raise ValueError("in_dim/hidden must be >= 1 and num_classes >= 2")
-        if self.arch == "graph_transformer" and self.hidden % self.heads != 0:
+        if ARCH_TABLE[self.arch].multi_head and self.hidden % self.heads != 0:
             raise ValueError(f"hidden={self.hidden} not divisible by heads={self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
-    def layer_dims(self) -> list[int]:
-        return [self.in_dim] + [self.hidden] * (self.layers - 1) + [self.num_classes]
+    def layer_table(self) -> list[tuple[dict[str, tuple[int, int]], int]]:
+        """Per layer, ``({short: shape}, heads)`` from the arch's table row."""
+        arch = ARCH_TABLE[self.arch]
+        dims = [self.in_dim] + [self.hidden] * (self.layers - 1) + [self.num_classes]
+        heads = [self.heads if arch.multi_head else 1] * (self.layers - 1) + [1]
+        return [(arch.shapes(d_in, d_out), h) for d_in, d_out, h in zip(dims, dims[1:], heads)]
 
 
 @dataclass
 class Model:
+    """``parameters`` by TAGM name feeds Adam, snapshots and checkpoints;
+    ``layers`` holds each layer's ``({short: Parameter}, heads)``."""
+
     spec: ModelSpec
     parameters: dict[str, Parameter]
+    layers: list[tuple[dict[str, Parameter], int]] = field(init=False, repr=False)
 
-    def zero_grads(self) -> None:
-        for p in self.parameters.values():
-            p.grad = None
+    def __post_init__(self):
+        self.layers = [
+            ({short: self.parameters[f"layer{layer}.{short}"] for short in shapes}, heads)
+            for layer, (shapes, heads) in enumerate(self.spec.layer_table())
+        ]
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self.parameters.items()}
@@ -135,37 +145,14 @@ def glorot_uniform(rng: SplitMix64, fan_in: int, fan_out: int) -> np.ndarray:
     return (rng.random((fan_in, fan_out)) * 2.0 - 1.0) * a
 
 
-def _layer_param_shapes(spec: ModelSpec, layer: int) -> dict[str, tuple[int, int]]:
-    dims = spec.layer_dims()
-    d_in, d_out = dims[layer], dims[layer + 1]
-    if spec.arch in ("gcn", "mlp"):
-        return {"W": (d_in, d_out), "b": (1, d_out)}
-    width = d_out  # heads * d_head; final layer: 1 head of width num_classes
-    return {
-        "W_Q": (d_in, width),
-        "W_K": (d_in, width),
-        "W_V": (d_in, width),
-        "W_S": (d_in, width),
-        "b": (1, width),
-    }
-
-
-def layer_heads(spec: ModelSpec, layer: int) -> int:
-    if spec.arch != "graph_transformer":
-        return 1
-    return spec.heads if layer < spec.layers - 1 else 1
-
-
 def init_parameters(spec: ModelSpec, seed: int) -> Model:
     rng = SplitMix64(seed)
     params: dict[str, Parameter] = {}
-    for layer in range(spec.layers):
-        for short, shape in _layer_param_shapes(spec, layer).items():
+    for layer, (shapes, _) in enumerate(spec.layer_table()):
+        for short, shape in shapes.items():
             name = f"layer{layer}.{short}"
-            if short == "b":
-                params[name] = Parameter(np.zeros(shape), name)
-            else:
-                params[name] = Parameter(glorot_uniform(rng, *shape), name)
+            value = np.zeros(shape) if short == "b" else glorot_uniform(rng, *shape)
+            params[name] = Parameter(value, name)
     return Model(spec, params)
 
 
@@ -207,17 +194,15 @@ def gcn_layer(h: np.ndarray, adj: NormalizedAdjacency, W: Parameter, b: Paramete
     return out, backward
 
 
-def graph_transformer_layer(h: np.ndarray, structure, params: dict[str, Parameter], heads: int):
+def graph_transformer_layer(
+    h: np.ndarray, att: AttentionStructure, params: dict[str, Parameter], heads: int
+):
     """Multi-head dot-product attention over each node's neighbors + self.
 
     Per head, attention weights are a softmax over the neighborhood of
     query-key scores scaled by 1/sqrt(d_head); head outputs are
     concatenated and a learned skip transform W_S h + b is added.
-    ``structure`` is an AttentionStructure or a Graph (converted here).
     """
-    if isinstance(structure, Graph):
-        structure = build_attention_structure(structure)
-    att = structure
     n = att.num_nodes
     if h.shape[0] != n:
         raise ValueError(f"feature rows {h.shape[0]} != num_nodes {n}")
@@ -272,13 +257,37 @@ def graph_transformer_layer(h: np.ndarray, structure, params: dict[str, Paramete
     return out, backward
 
 
-def _layer_params(model: Model, layer: int) -> dict[str, Parameter]:
-    prefix = f"layer{layer}."
-    return {
-        name[len(prefix) :]: p
-        for name, p in model.parameters.items()
-        if name.startswith(prefix)
-    }
+@dataclass(frozen=True)
+class Architecture:
+    """One row of ARCH_TABLE; see the module docstring."""
+
+    shapes: Callable[[int, int], dict[str, tuple[int, int]]]
+    call: Callable
+    multi_head: bool = False
+    needs_context: bool = True
+
+
+def _shapes(*weights: str) -> Callable[[int, int], dict[str, tuple[int, int]]]:
+    """Shapes of a layer with the given (d_in, d_out) weights and a (1, d_out) bias ``b``."""
+    return lambda d_in, d_out: {**dict.fromkeys(weights, (d_in, d_out)), "b": (1, d_out)}
+
+
+ARCH_TABLE: dict[str, Architecture] = {
+    "gcn": Architecture(
+        _shapes("W"), lambda h, context, p, heads: gcn_layer(h, context.adj, p["W"], p["b"])
+    ),
+    "graph_transformer": Architecture(
+        _shapes("W_Q", "W_K", "W_V", "W_S"),
+        lambda h, context, p, heads: graph_transformer_layer(h, context.att, p, heads),
+        multi_head=True,
+    ),
+    "mlp": Architecture(
+        _shapes("W"),
+        lambda h, context, p, heads: mlp_layer(h, p["W"], p["b"]),
+        needs_context=False,
+    ),
+}
+ARCHITECTURES = tuple(ARCH_TABLE)
 
 
 def forward_backward(
@@ -295,26 +304,21 @@ def forward_backward(
     returns the gradient at the input features.
     """
     spec = model.spec
+    arch = ARCH_TABLE[spec.arch]
     h = dataset.features
     if h is None:
         raise ValueError("dataset has no feature matrix")
     if h.shape[1] != spec.in_dim:
         raise ValueError(f"feature dim {h.shape[1]} != spec.in_dim {spec.in_dim}")
-    if spec.arch != "mlp" and context is None:
+    if context is None and arch.needs_context:
         context = build_context(dataset.graph)
     keep_prob = 1.0 - spec.dropout
     if training and keep_prob < 1.0 and rng is None:
         raise ValueError("training with dropout requires an rng")
 
     tape = []
-    for layer in range(spec.layers):
-        params = _layer_params(model, layer)
-        if spec.arch == "mlp":
-            h, back = mlp_layer(h, params["W"], params["b"])
-        elif spec.arch == "gcn":
-            h, back = gcn_layer(h, context.adj, params["W"], params["b"])
-        else:
-            h, back = graph_transformer_layer(h, context.att, params, layer_heads(spec, layer))
+    for layer, (params, heads) in enumerate(model.layers):
+        h, back = arch.call(h, context, params, heads)
         tape.append(back)
         if layer < spec.layers - 1:
             h, relu_back = relu(h)
@@ -335,9 +339,9 @@ def forward_backward(
 def forward(
     model: Model,
     dataset,
+    context: PropagationContext | None = None,
     training: bool = False,
     rng: SplitMix64 | None = None,
-    context: PropagationContext | None = None,
 ) -> np.ndarray:
     """Logits only; see forward_backward."""
     return forward_backward(model, dataset, context, training, rng)[0]
@@ -392,13 +396,12 @@ def load_checkpoint(path: str) -> Model:
         params[name] = Parameter(data.reshape(rows, cols).copy(), name)
     if pos != len(view):
         raise CheckpointFormatError(f"{path}: trailing bytes after last parameter")
-    model = Model(spec, params)
     expected = {
         f"layer{layer}.{short}": shape
-        for layer in range(spec.layers)
-        for short, shape in _layer_param_shapes(spec, layer).items()
+        for layer, (shapes, _) in enumerate(spec.layer_table())
+        for short, shape in shapes.items()
     }
     actual = {name: p.value.shape for name, p in params.items()}
     if actual != expected:
         raise CheckpointFormatError(f"{path}: parameters do not match the spec shape table")
-    return model
+    return Model(spec, params)

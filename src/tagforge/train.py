@@ -5,7 +5,9 @@ on the train mask, a full backward pass, one Adam step, then a validation
 accuracy check. Training stops after ``patience`` consecutive epochs
 without a new best validation accuracy, or at the epoch cap. The reported
 test accuracy always belongs to the best-validation parameter snapshot,
-which is restored into the model before returning.
+which is restored into the model before returning. A non-finite training
+loss or gradient ends the run with a ``FloatingPointError`` naming the
+epoch (and, for a gradient, the first bad parameter).
 
 Weight decay is coupled (added to the gradient before the moment updates),
 matching common GNN framework defaults. Early stopping monitors validation
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, SplitMask
-from .models import Model, PropagationContext, build_context, forward, forward_backward
+from .models import ARCH_TABLE, Model, PropagationContext, build_context, forward, forward_backward
 from .nn import Parameter, cross_entropy
 from .rng import SplitMix64
 
@@ -55,10 +57,17 @@ class AdamState:
 
 
 def adam_step(parameters: dict[str, Parameter], state: AdamState, spec: TrainSpec) -> None:
-    """One coupled-L2 Adam update; consumes and clears every gradient."""
+    """One coupled-L2 Adam update; consumes and clears every gradient.
+
+    A missing or non-finite gradient raises before any parameter moves;
+    ``train`` takes one step per epoch, so the step named is the epoch.
+    """
     missing = [name for name, p in parameters.items() if p.grad is None]
     if missing:
         raise ValueError(f"adam_step before backward: no gradient for {missing[0]}")
+    bad = [name for name, p in parameters.items() if not np.isfinite(p.grad).all()]
+    if bad:
+        raise FloatingPointError(f"non-finite gradient for {bad[0]} at epoch {state.t + 1}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
@@ -87,7 +96,7 @@ def evaluate(
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("evaluate over an empty mask")
-    logits = forward(model, dataset, training=False, context=context)
+    logits = forward(model, dataset, context)
     predictions = np.argmax(logits[mask], axis=1)
     return float(np.mean(predictions == dataset.labels[mask]))
 
@@ -123,7 +132,8 @@ def train(
     init_parameters does not replay the same random values.
     """
     split.validate(dataset.num_nodes)
-    context = None if model.spec.arch == "mlp" else build_context(dataset.graph)
+    needs_context = ARCH_TABLE[model.spec.arch].needs_context
+    context = build_context(dataset.graph) if needs_context else None
     rng = SplitMix64(seed).split()
     state = AdamState(model.parameters)
 
@@ -138,6 +148,8 @@ def train(
         epochs_ran = epoch
         logits, backward = forward_backward(model, dataset, context, training=True, rng=rng)
         loss, d_logits = cross_entropy(logits, dataset.labels, split.train)
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"non-finite training loss {loss} at epoch {epoch}")
         backward(d_logits)
         adam_step(model.parameters, state, spec)
         val_acc = evaluate(model, dataset, split.val, context)

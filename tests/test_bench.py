@@ -7,12 +7,15 @@ import io
 import json
 import os
 import re
+import stat
 import time
 
 import numpy as np
 import pytest
 
 from tagforge.bench import (
+    BenchResult,
+    CellResult,
     ConfigError,
     feature_path,
     load_config,
@@ -21,6 +24,7 @@ from tagforge.bench import (
     to_csv,
     to_latex,
     to_markdown,
+    write_outputs,
 )
 from tagforge.cli import main
 from tagforge.data import generate_synthetic
@@ -91,6 +95,10 @@ def test_config_invalid_json(tmp_path):
         ({"archs": ["graph_transformer"], "model": {"hidden": 10, "heads": 4}},
          "model block"),
         ({"train": {"seeds": []}}, "train block"),
+        ({"workers": "two"}, "workers"),
+        ({"output": {"dirr": "x"}}, "unknown key 'dirr' in output"),
+        ({"split": {"protocol": "low", "per_class": "many"}}, "split block"),
+        ({"worker": 2}, "unknown key 'worker' in the top level"),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, overrides, message):
@@ -295,6 +303,32 @@ def test_cli_bench_byte_identical_csv(tmp_path, capsys):
     second = (tmp_path / "out" / "bench.csv").read_bytes()
     capsys.readouterr()
     assert first == second
+
+
+def test_write_outputs_keeps_previous_files_when_replace_fails(tmp_path, monkeypatch):
+    cfg = load_config(_write_config(tmp_path))
+
+    def result(mean):
+        cell = CellResult("native", "gcn", mean, 0.0, [3])
+        return BenchResult("toy", ["native"], ["gcn"], (0,), {("native", "gcn"): cell})
+
+    paths = write_outputs(result(0.5), cfg)
+    umask = os.umask(0)
+    os.umask(umask)
+    assert {stat.S_IMODE(os.stat(p).st_mode) for p in paths} == {0o666 & ~umask}
+    def contents():
+        return [(tmp_path / "out" / name).read_bytes() for name in ("bench.csv", "bench.md")]
+
+    previous = contents()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_outputs(result(0.75), cfg)
+    assert contents() == previous
+    assert sorted(os.listdir(cfg.out_dir)) == ["bench.csv", "bench.md"]
 
 
 def test_cli_missing_config_is_config_error(tmp_path, capsys):

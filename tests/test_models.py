@@ -9,6 +9,7 @@ from conftest import dense_gt_attention, dense_normalized_adjacency, random_grap
 from tagforge.data import Dataset, generate_synthetic
 from tagforge.graph import NormalizedAdjacency, from_edge_list, normalize_adjacency, spmm
 from tagforge.models import (
+    ARCHITECTURES,
     CheckpointFormatError,
     ModelSpec,
     build_attention_structure,
@@ -19,7 +20,6 @@ from tagforge.models import (
     glorot_uniform,
     graph_transformer_layer,
     init_parameters,
-    layer_heads,
     load_checkpoint,
     mlp_layer,
     save_checkpoint,
@@ -64,8 +64,8 @@ def test_parameter_shape_table():
     # final layer: one head of width num_classes
     assert shapes["layer2.W_Q"] == (8, 3)
     assert shapes["layer2.b"] == (1, 3)
-    assert layer_heads(spec, 0) == 2
-    assert layer_heads(spec, 2) == 1
+    assert [heads for _, heads in model.layers] == [2, 2, 1]
+    assert model.layers[2][0]["W_Q"] is model.parameters["layer2.W_Q"]
 
     gcn = init_parameters(ModelSpec("gcn", in_dim=10, num_classes=3, layers=2, hidden=8), 0)
     assert {n: p.shape for n, p in gcn.parameters.items()} == {
@@ -74,6 +74,7 @@ def test_parameter_shape_table():
         "layer1.W": (8, 3),
         "layer1.b": (1, 3),
     }
+    assert [heads for _, heads in gcn.layers] == [1, 1]
 
 
 def test_init_deterministic_and_biases_zero():
@@ -135,7 +136,7 @@ def test_gt_layer_isolated_node_is_value_plus_skip():
     rng = SplitMix64(7)
     params = _gt_params(rng, 4, 6)
     h = rng.normal((3, 4))
-    out, _ = graph_transformer_layer(h, g, params, heads=2)
+    out, _ = graph_transformer_layer(h, build_attention_structure(g), params, heads=2)
     expected = h[2] @ params["W_V"].value + h[2] @ params["W_S"].value + params["b"].value
     assert np.abs(out[2] - expected).max() < 1e-12
 
@@ -146,7 +147,7 @@ def test_gt_layer_identical_features_give_uniform_attention():
     params = _gt_params(rng, 3, 4)
     row = rng.normal((1, 3))
     h = np.tile(row, (4, 1))
-    out, _ = graph_transformer_layer(h, g, params, heads=2)
+    out, _ = graph_transformer_layer(h, build_attention_structure(g), params, heads=2)
     # uniform attention over identical rows averages to the same row transform
     expected = row @ params["W_V"].value + row @ params["W_S"].value + params["b"].value
     assert np.abs(out - np.tile(expected, (4, 1))).max() < 1e-12
@@ -160,7 +161,7 @@ def test_gt_layer_matches_dense_masked_oracle(seed):
     heads = 2
     params = _gt_params(rng, 5, 8)
     h = rng.normal((n, 5))
-    out, _ = graph_transformer_layer(h, g, params, heads=heads)
+    out, _ = graph_transformer_layer(h, build_attention_structure(g), params, heads=heads)
     expected, alphas = dense_gt_attention(h, g, params, heads)
     assert np.abs(out - expected).max() < 1e-10
     for alpha in alphas:  # neighborhood coefficients are a proper distribution
@@ -208,6 +209,17 @@ def test_training_forward_without_dropout_is_deterministic(arch):
     model = init_parameters(spec, seed=1)
     a = forward(model, ds, training=True, rng=SplitMix64(0))
     b = forward(model, ds, training=True, rng=SplitMix64(99))
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_forward_takes_forward_backward_argument_order(arch):
+    ds = _random_dataset()
+    spec = ModelSpec(arch, in_dim=6, num_classes=2, layers=3, hidden=4, heads=2)
+    model = init_parameters(spec, seed=1)
+    context = build_context(ds.graph)
+    a = forward(model, ds, context, True, SplitMix64(4))
+    b = forward_backward(model, ds, context, True, SplitMix64(4))[0]
     assert np.array_equal(a, b)
 
 
@@ -280,16 +292,16 @@ def test_gt_backward_handles_isolated_nodes():
     # node 3 has only its self-loop; finite differences must still agree
     from tagforge.gradcheck import numeric_grad, rel_error
 
-    g = from_edge_list(4, [(0, 1), (1, 2)])
+    att = build_attention_structure(from_edge_list(4, [(0, 1), (1, 2)]))
     rng = SplitMix64(21)
     params = _gt_params(rng, 3, 4)
     h = rng.normal((4, 3))
     weights = rng.normal((4, 4))
 
     def loss():
-        return float((graph_transformer_layer(h, g, params, heads=2)[0] * weights).sum())
+        return float((graph_transformer_layer(h, att, params, heads=2)[0] * weights).sum())
 
-    _, backward = graph_transformer_layer(h, g, params, heads=2)
+    _, backward = graph_transformer_layer(h, att, params, heads=2)
     d_h = backward(weights)
     assert rel_error(d_h, numeric_grad(loss, h)) < 1e-5
     for p in params.values():

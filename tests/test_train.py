@@ -216,6 +216,20 @@ def test_train_mlp_builds_no_propagation_context(monkeypatch):
     assert result.epochs_ran == 5
 
 
+def test_nonfinite_loss_or_gradient_ends_the_run():
+    ds, split = _toy()
+    model = init_parameters(ModelSpec("mlp", in_dim=8, num_classes=2), 0)
+    model.parameters["layer0.W"].value[0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="loss nan at epoch 1"):
+        train(model, ds, split, TrainSpec(epochs=5), seed=0)
+
+    params, p = _single_param(1.0)
+    p.add_grad(np.array([[np.inf]]))
+    with pytest.raises(FloatingPointError, match="gradient for theta at epoch 1"):
+        adam_step(params, AdamState(params), TrainSpec())
+    assert p.value[0, 0] == 1.0
+
+
 def test_train_rejects_bad_split():
     ds, _ = _toy()
     bad = SplitMask(np.array([0, 1]), np.array([1, 2]), np.array([3]))
