@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .graph import Graph, from_edge_list, validate_graph
 from .rng import SplitMix64
@@ -51,10 +52,14 @@ class SplitMask:
 
 @dataclass
 class Dataset:
-    """A graph with node features, labels, and optional texts/splits."""
+    """A graph with node features, labels, and optional texts/splits.
+
+    ``features`` is a dense ndarray or, for sparse encoders, a
+    ``csr_array`` (see ``bench.load_features``); None when absent.
+    """
 
     graph: Graph
-    features: np.ndarray | None
+    features: np.ndarray | csr_array | None
     labels: np.ndarray
     num_classes: int
     texts: list[str] | None = None

@@ -8,8 +8,9 @@ Remote protocol: ``POST <endpoint>/embed`` with JSON body
 ``{"model": str, "texts": [str]}``; a 200 response carries
 ``{"embeddings": [[float]]}`` with one vector per input text, in order.
 Any non-200 status or transport error counts as a failure; failed batches
-are retried with exponential backoff (3 attempts total). Every fetched
-vector is cached as ``<cache_dir>/<sha256 hex>.emb`` (EMB1, n=1), keyed by
+are retried with exponential backoff (3 attempts total). A vector that is
+not a flat list of finite numbers fails at once, naming its index. Every
+fetched vector is cached as ``<cache_dir>/<sha256 hex>.emb`` (EMB1, n=1), keyed by
 (model id, text), and warm-cache calls issue no requests at all. Returned
 rows are always read back from the cache, so repeat calls are bit-identical.
 """
@@ -221,8 +222,16 @@ def _fetch_batch(spec: EncoderSpec, texts: list[str]) -> list[np.ndarray]:
         )
     rows = []
     dim = None
-    for vec in vectors:
-        row = np.asarray(vec, dtype=np.float32).reshape(1, -1)
+    for index, vec in enumerate(vectors):
+        try:
+            row = np.asarray(vec, dtype=np.float32)
+            if row.ndim != 1:
+                raise ValueError(f"expected a list of numbers, got shape {row.shape}")
+        except (TypeError, ValueError) as exc:
+            raise RemoteEmbeddingError(
+                f"endpoint {spec.endpoint} returned a malformed vector at index {index}: {exc}"
+            ) from exc
+        row = row.reshape(1, -1)
         if not np.isfinite(row).all():
             raise RemoteEmbeddingError(f"endpoint {spec.endpoint} returned non-finite values")
         if dim is None:

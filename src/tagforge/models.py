@@ -157,13 +157,14 @@ def init_parameters(spec: ModelSpec, seed: int) -> Model:
 
 
 def mlp_layer(h: np.ndarray, W: Parameter, b: Parameter):
-    """h @ W + b. Backward accumulates into W/b and returns dH."""
+    """h @ W + b. Backward accumulates into W/b and returns dH (None when
+    called with ``input_grad=False``); the layer backwards below do the same."""
     z, mm_back = matmul(h, W.value)
     out, bias_back = add_bias(z, b.value)
 
-    def backward(d_out):
+    def backward(d_out, input_grad: bool = True):
         d_z, d_b = bias_back(d_out)
-        d_h, d_W = mm_back(d_z)
+        d_h, d_W = mm_back(d_z, input_grad)
         W.add_grad(d_W)
         b.add_grad(d_b)
         return d_h
@@ -183,10 +184,10 @@ def gcn_layer(h: np.ndarray, adj: NormalizedAdjacency, W: Parameter, b: Paramete
     agg = spmm(adj, z)
     out, bias_back = add_bias(agg, b.value)
 
-    def backward(d_out):
+    def backward(d_out, input_grad: bool = True):
         d_agg, d_b = bias_back(d_out)
         d_z = spmm(adj, d_agg)
-        d_h, d_W = mm_back(d_z)
+        d_h, d_W = mm_back(d_z, input_grad)
         W.add_grad(d_W)
         b.add_grad(d_b)
         return d_h
@@ -234,10 +235,10 @@ def graph_transformer_layer(
 
     out = aggregate(alpha, v) + h @ params["W_S"].value + params["b"].value
 
-    def backward(d_out):
+    def backward(d_out, input_grad: bool = True):
         params["b"].add_grad(d_out.sum(axis=0, keepdims=True))
         params["W_S"].add_grad(h.T @ d_out)
-        d_h = d_out @ params["W_S"].value.T
+        d_h = d_out @ params["W_S"].value.T if input_grad else None
 
         d_msg = d_out.reshape(n, heads, d_head)
         d_alpha = np.einsum("ehd,ehd->eh", v[cols], d_msg[rows])
@@ -251,7 +252,8 @@ def graph_transformer_layer(
 
         for short, flat in (("W_Q", d_q), ("W_K", d_k), ("W_V", d_v)):
             params[short].add_grad(h.T @ flat)
-            d_h = d_h + flat @ params[short].value.T
+            if input_grad:
+                d_h = d_h + flat @ params[short].value.T
         return d_h
 
     return out, backward
@@ -300,8 +302,11 @@ def forward_backward(
     """Full forward pass; returns (logits, backward).
 
     Hidden layers apply {layer -> ReLU -> dropout}; the final layer emits
-    raw logits. ``backward(d_logits)`` accumulates parameter gradients and
-    returns the gradient at the input features.
+    raw logits. ``dataset.features`` may be an ndarray or a
+    ``scipy.sparse.csr_array``; only layer 0 reads it. ``backward(d_logits)``
+    accumulates parameter gradients and returns None: the features are not
+    trained, so layer 0 runs with ``input_grad=False`` and skips the
+    gradient at its input.
     """
     spec = model.spec
     arch = ARCH_TABLE[spec.arch]
@@ -329,9 +334,9 @@ def forward_backward(
 
     def backward(d_logits):
         d = d_logits
-        for back in reversed(tape):
+        for back in reversed(tape[1:]):
             d = back(d)
-        return d
+        tape[0](d, input_grad=False)  # layer 0
 
     return h, backward
 

@@ -39,14 +39,15 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
-def matmul(a: np.ndarray, b: np.ndarray):
-    """out = a @ b;  backward: (d @ b.T, a.T @ d)."""
+def matmul(a, b: np.ndarray):
+    """out = a @ b;  backward: (d @ b.T, a.T @ d), with None in place of
+    d @ b.T when ``input_grad`` is False. ``a`` may be a scipy sparse array."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
     out = a @ b
 
-    def backward(d_out):
-        return d_out @ b.T, a.T @ d_out
+    def backward(d_out, input_grad: bool = True):
+        return (d_out @ b.T if input_grad else None), a.T @ d_out
 
     return out, backward
 

@@ -12,13 +12,16 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from tagforge.bench import (
     BenchResult,
     CellResult,
     ConfigError,
     feature_path,
+    load_bench_dataset,
     load_config,
+    load_features,
     prepare,
     run_bench,
     to_csv,
@@ -99,6 +102,8 @@ def test_config_invalid_json(tmp_path):
         ({"output": {"dirr": "x"}}, "unknown key 'dirr' in output"),
         ({"split": {"protocol": "low", "per_class": "many"}}, "split block"),
         ({"worker": 2}, "unknown key 'worker' in the top level"),
+        ({"dataset": {"kind": "synthetic", "n": "many", "classes": 2, "p_in": 0.9,
+                      "p_out": 0.05}}, "bad synthetic dataset block"),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, overrides, message):
@@ -239,6 +244,22 @@ def test_bench_unprepared_features_fail_cleanly(tmp_path):
     result = run_bench(cfg)
     assert not result.ok
     assert all("prepare" in c.error for c in result.cells.values())
+
+
+@pytest.mark.parametrize("nonzeros,sparse", [(40, True), (41, False)])
+def test_load_features_keeps_matrices_up_to_ten_percent_dense_as_csr(
+    tmp_path, nonzeros, sparse
+):
+    cfg = load_config(_write_config(tmp_path))
+    encoder = cfg.encoders[1]
+    rng = np.random.default_rng(0)
+    x = np.zeros((40, 10), dtype=np.float32)  # 40 of 400 entries is exactly 10%
+    x.flat[rng.choice(x.size, nonzeros, replace=False)] = rng.random(nonzeros) + 0.5
+    save_embedding_file(feature_path(cfg, encoder), x)
+    features = load_features(cfg, encoder, load_bench_dataset(cfg))
+    assert isinstance(features, csr_array if sparse else np.ndarray)
+    assert features.dtype == np.float64
+    assert np.array_equal(features.toarray() if sparse else features, x)
 
 
 def test_markdown_cell_format_and_bold_row_best(tmp_path):

@@ -242,6 +242,21 @@ def test_remote_embed_rejects_cross_batch_dimension_mismatch(embed_server, tmp_p
         remote_embed(spec, ["a", "b"])
 
 
+@pytest.mark.parametrize(
+    "bad", ["abc", [[1.0, 2.0], [3.0]], {"x": 1.0}, [[1.0, 2.0, 3.0, 4.0]]],
+    ids=["string", "ragged", "dict", "nested"],
+)
+def test_remote_embed_rejects_malformed_vector_naming_endpoint_and_index(
+    embed_server, tmp_path, bad
+):
+    embed_server.httpd.state["vector_fn"] = lambda text, dim: bad if text == "b" else [1.0] * dim
+    spec = _remote_spec(embed_server, tmp_path, batch_size=3)
+    with pytest.raises(RemoteEmbeddingError, match=rf"{embed_server.url} .* index 1\b"):
+        remote_embed(spec, ["a", "b", "c"])
+    assert len(embed_server.requests) == 1  # a malformed payload is not retried
+    assert not os.listdir(spec.resolved_cache_dir())
+
+
 def test_remote_embed_cache_entries_are_single_row_emb1(embed_server, tmp_path):
     spec = _remote_spec(embed_server, tmp_path)
     remote_embed(spec, ["hello"])

@@ -4,9 +4,11 @@ equivariances, initialization statistics, checkpoint container.
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
+import tagforge.models as models
 from conftest import dense_gt_attention, dense_normalized_adjacency, random_graph
-from tagforge.data import Dataset, generate_synthetic
+from tagforge.data import Dataset, generate_synthetic, split_high
 from tagforge.graph import NormalizedAdjacency, from_edge_list, normalize_adjacency, spmm
 from tagforge.models import (
     ARCHITECTURES,
@@ -26,7 +28,7 @@ from tagforge.models import (
 )
 from tagforge.nn import Parameter, cross_entropy
 from tagforge.rng import SplitMix64
-from tagforge.train import TrainSpec, adam_step, AdamState
+from tagforge.train import TrainSpec, adam_step, AdamState, train
 
 
 def _gt_params(rng, d_in, width, tag=""):
@@ -273,6 +275,83 @@ def test_single_step_decreases_training_loss(arch):
     adam_step(model.parameters, state, TrainSpec())
     loss_after, _ = cross_entropy(forward(model, ds, context=context), ds.labels, mask)
     assert loss_after < loss_before
+
+
+def _sparse_features(ds, dim=40, seed=0):
+    """About 5% random nonzeros plus one label-indicator entry per row."""
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random((ds.num_nodes, dim)) < 0.05, rng.random((ds.num_nodes, dim)), 0.0)
+    x[np.arange(ds.num_nodes), ds.labels] += 1.0
+    return x
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_csr_features_match_dense_features(arch):
+    ds = generate_synthetic(30, 3, p_in=0.3, p_out=0.02, dim=4, seed=2)
+    dense = _sparse_features(ds)
+    spec = ModelSpec(arch, in_dim=40, num_classes=3, layers=3, hidden=8, heads=2)
+    context = build_context(ds.graph)
+    d_logits = np.random.default_rng(3).normal(size=(30, 3))
+    runs = []
+    for x in (dense, csr_array(dense)):
+        model = init_parameters(spec, seed=1)
+        data = Dataset(ds.graph, x, ds.labels, 3)
+        logits, backward = forward_backward(model, data, context, True, SplitMix64(2))
+        backward(d_logits)
+        runs.append((logits, {name: p.grad for name, p in model.parameters.items()}))
+    (dense_logits, dense_grads), (csr_logits, csr_grads) = runs
+    np.testing.assert_allclose(csr_logits, dense_logits, rtol=0, atol=1e-12)
+    for name, grad in dense_grads.items():
+        np.testing.assert_allclose(csr_grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
+
+    split = split_high(30, seed=0)
+    dense_run, csr_run = (
+        train(init_parameters(spec, 1), Dataset(ds.graph, x, ds.labels, 3), split,
+              TrainSpec(epochs=25, patience=25), seed=0)
+        for x in (dense, csr_array(dense))
+    )
+    assert csr_run.best_val_acc == dense_run.best_val_acc
+    assert csr_run.test_acc_at_best_val == dense_run.test_acc_at_best_val
+    assert csr_run.val_curve == dense_run.val_curve
+    np.testing.assert_allclose(csr_run.loss_curve, dense_run.loss_curve, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_backward_skips_only_the_layer0_input_gradient(arch, monkeypatch):
+    ds = _random_dataset()
+    spec = ModelSpec(arch, in_dim=6, num_classes=2, layers=3, hidden=4, heads=2)
+    context = build_context(ds.graph)
+    d_logits = np.random.default_rng(0).normal(size=(ds.num_nodes, 2))
+
+    def walk(force_input_grad):
+        """Parameter gradients, and the input_grad each layer backward got."""
+        seen = []
+
+        def spy(layer):
+            def call(*args):
+                out, back = layer(*args)
+
+                def backward(d, input_grad=True):
+                    seen.append(input_grad)
+                    return back(d) if force_input_grad else back(d, input_grad)
+
+                return out, backward
+
+            return call
+
+        with monkeypatch.context() as m:
+            for name in ("gcn_layer", "graph_transformer_layer", "mlp_layer"):
+                m.setattr(models, name, spy(getattr(models, name)))
+            model = init_parameters(spec, seed=1)
+            logits, backward = forward_backward(model, ds, context, True, SplitMix64(2))
+            assert backward(d_logits) is None
+        return {name: p.grad for name, p in model.parameters.items()}, seen
+
+    skipped, seen = walk(force_input_grad=False)
+    assert seen == [True, True, False]  # walked from the last layer to layer 0
+    full, _ = walk(force_input_grad=True)
+    for name, grad in full.items():
+        assert np.array_equal(skipped[name], grad), name
 
 
 def test_tperm_reordered_weights_give_transposed_product():
