@@ -21,6 +21,7 @@ from .bench import (
     run_seed,
     write_outputs,
 )
+from .features import _atomic_write
 from .gradcheck import TOLERANCE, run_gradcheck
 from .models import ARCHITECTURES
 from .train import run_log_lines
@@ -100,10 +101,7 @@ def _cmd_train(args) -> int:
     print(f"test_acc={result.test_acc_at_best_val:.4f}")
     print(f"epochs_ran={result.epochs_ran}")
     if args.out:
-        out_dir = os.path.dirname(os.path.abspath(args.out))
-        os.makedirs(out_dir, exist_ok=True)
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(run_log_lines(result)) + "\n")
+        _atomic_write(args.out, ("\n".join(run_log_lines(result)) + "\n").encode())
         print(f"log written to {args.out}")
     return 0
 

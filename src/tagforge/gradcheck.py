@@ -19,6 +19,7 @@ from .nn import (
     add_bias,
     cross_entropy,
     dropout,
+    dropout_backward,
     matmul,
     relu,
 )
@@ -99,7 +100,7 @@ def _check_dropout(seed: int) -> float:
         return out
 
     out, mask = dropout(x, 0.6, rng=SplitMix64(seed + 1), training=True)
-    d_x = mask.apply(weights)
+    d_x = dropout_backward(mask, weights)
     return rel_error(d_x, numeric_grad(lambda: _projection_loss(apply_fixed(), weights), x))
 
 
@@ -113,11 +114,10 @@ def _check_cross_entropy(seed: int) -> float:
     return rel_error(d_logits, numeric)
 
 
-def _check_layer(arch: str, seed: int) -> float:
+def _check_layer(arch: str, seed: int, heads: int) -> float:
     """One arch's layer call on a 6-node graph, 4 -> 6 wide, with the table's
-    parameter shapes, random non-zero biases and 2 heads if multi-head."""
+    parameter shapes, random non-zero biases and ``heads`` heads."""
     row = ARCH_TABLE[arch]
-    heads = 2 if row.multi_head else 1
     rng = SplitMix64(seed)
     graph = generate_synthetic(6, 2, p_in=0.9, p_out=0.4, dim=3, sep=1.0, seed=seed).graph
     context = build_context(graph)
@@ -144,7 +144,16 @@ CHECKS: dict[str, callable] = {
     "relu": _check_relu,
     "dropout": _check_dropout,
     "cross_entropy": _check_cross_entropy,
-    **{f"{arch}_layer": partial(_check_layer, arch) for arch in ARCHITECTURES},
+    **{
+        f"{arch}_layer": partial(_check_layer, arch, heads=2 if ARCH_TABLE[arch].multi_head else 1)
+        for arch in ARCHITECTURES
+    },
+    # one head is the final layer's layout of a multi-head arch
+    **{
+        f"{arch}_layer_1head": partial(_check_layer, arch, heads=1)
+        for arch in ARCHITECTURES
+        if ARCH_TABLE[arch].multi_head
+    },
 }
 
 

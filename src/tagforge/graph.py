@@ -45,7 +45,8 @@ class NormalizedAdjacency:
     """CSR layout plus one weight per stored edge: the operand of ``spmm``.
 
     ``normalize_adjacency`` gives positive symmetric weights; the graph
-    transformer also builds one per attention head.
+    transformer builds one per aggregation over its (node, head) CSR, with
+    ``num_nodes`` counting node-head rows.
     """
 
     num_nodes: int

@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .features import _atomic_write
 from .graph import (
     Graph,
     NormalizedAdjacency,
@@ -105,27 +106,74 @@ class Model:
 
 
 @dataclass(frozen=True)
+class HeadIndex:
+    """An attention structure's (node, head) CSR at one head count H.
+
+    Row ``i*H + h`` holds the columns ``j*H + h`` for j in N(i) ∪ {i}, in
+    the structure's entry order, so one ``spmm`` over an (n*H, d_head)
+    operand aggregates every head at once and each row sums in the same
+    order as a per-head product. ``flat`` gathers an (E, H) per-entry
+    weight array, flattened, into this layout; ``flat_t`` gathers entry
+    ``tperm[e]`` instead, which gives the transposed weighted matrix.
+    """
+
+    num_rows: int
+    row_offsets: np.ndarray
+    col_indices: np.ndarray
+    flat: np.ndarray
+    flat_t: np.ndarray
+
+
+@dataclass(frozen=True)
 class AttentionStructure:
     """Neighbors-plus-self CSR used by transformer layers.
 
-    ``rows`` expands row ids per stored entry; ``tperm`` reorders entries
-    into transpose (column-major) order. Because the structure is symmetric,
-    per-edge weights reordered by ``tperm`` on the same offsets and columns
-    form the transposed weighted matrix.
+    ``degrees`` counts each row's entries, so ``np.repeat(x, degrees,
+    axis=0)`` expands per-node rows to per-entry rows. ``tperm`` reorders
+    entries into transpose (column-major) order: the structure is
+    symmetric, so per-entry weights reordered by ``tperm`` on the same
+    offsets and columns form the transposed weighted matrix.
+    ``head_index(heads)`` is built on first use and kept here, so it lives
+    as long as the structure.
     """
 
     num_nodes: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
-    rows: np.ndarray
+    degrees: np.ndarray
     tperm: np.ndarray
+    _head_indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def head_index(self, heads: int) -> HeadIndex:
+        index = self._head_indices.get(heads)
+        if index is None:
+            index = self._head_indices[heads] = build_head_index(self, heads)
+        return index
 
 
 def build_attention_structure(g: Graph) -> AttentionStructure:
     loops = with_self_loops(g)
-    rows = edge_rows(loops)
-    tperm = np.lexsort((rows, loops.col_indices))
-    return AttentionStructure(loops.num_nodes, loops.row_offsets, loops.col_indices, rows, tperm)
+    tperm = np.lexsort((edge_rows(loops), loops.col_indices))
+    degrees = np.diff(loops.row_offsets)
+    return AttentionStructure(loops.num_nodes, loops.row_offsets, loops.col_indices, degrees, tperm)
+
+
+def build_head_index(att: AttentionStructure, heads: int) -> HeadIndex:
+    """The (node, head) CSR of ``att``; see HeadIndex."""
+    num_rows = att.num_nodes * heads
+    row_degrees = np.repeat(att.degrees, heads)
+    offsets = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(row_degrees, out=offsets[1:])
+    row = np.repeat(np.arange(num_rows), row_degrees)
+    head = row % heads
+    entry = np.arange(offsets[-1]) - offsets[row] + att.row_offsets[row // heads]
+    return HeadIndex(
+        num_rows,
+        offsets,
+        att.col_indices[entry] * heads + head,
+        entry * heads + head,
+        att.tperm[entry] * heads + head,
+    )
 
 
 @dataclass(frozen=True)
@@ -202,7 +250,10 @@ def graph_transformer_layer(
 
     Per head, attention weights are a softmax over the neighborhood of
     query-key scores scaled by 1/sqrt(d_head); head outputs are
-    concatenated and a learned skip transform W_S h + b is added.
+    concatenated and a learned skip transform W_S h + b is added. Every
+    aggregation is one ``spmm`` over the structure's (node, head) CSR (see
+    HeadIndex), and the backward's transposed products gather their
+    weights through ``flat_t``.
     """
     n = att.num_nodes
     if h.shape[0] != n:
@@ -212,28 +263,30 @@ def graph_transformer_layer(
         raise ValueError(f"attention width {width} not divisible by heads {heads}")
     d_head = width // heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
-    rows, cols, offsets, tperm = att.rows, att.col_indices, att.row_offsets, att.tperm
+    cols, offsets, degrees = att.col_indices, att.row_offsets, att.degrees
+    index = att.head_index(heads)
 
     q = (h @ params["W_Q"].value).reshape(n, heads, d_head)
     k = (h @ params["W_K"].value).reshape(n, heads, d_head)
     v = (h @ params["W_V"].value).reshape(n, heads, d_head)
 
-    def aggregate(weights, x):
-        """(n, width) concatenation over heads of spmm(CSR of weights[:, head], x[:, head])."""
-        return np.concatenate(
-            [
-                spmm(NormalizedAdjacency(n, offsets, cols, weights[:, head]), x[:, head])
-                for head in range(heads)
-            ],
-            axis=1,
+    def aggregate(weights, x, flat):
+        """(n, width): the (E, H) ``weights`` gathered by ``flat`` times every head of x."""
+        adj = NormalizedAdjacency(
+            index.num_rows, index.row_offsets, index.col_indices, weights.reshape(-1)[flat]
         )
+        return spmm(adj, x.reshape(index.num_rows, d_head)).reshape(n, width)
 
-    scores = np.einsum("ehd,ehd->eh", q[rows], k[cols]) * inv_sqrt
-    shifted = scores - segment_max(scores, offsets)[rows]
+    def per_entry(x):
+        """Per-node rows repeated once per entry of their row (rows are sorted)."""
+        return np.repeat(x, degrees, axis=0)
+
+    scores = np.einsum("ehd,ehd->eh", per_entry(q), k[cols]) * inv_sqrt
+    shifted = scores - per_entry(segment_max(scores, offsets))
     exps = np.exp(shifted)
-    alpha = exps / segment_sum(exps, offsets)[rows]
+    alpha = exps / per_entry(segment_sum(exps, offsets))
 
-    out = aggregate(alpha, v) + h @ params["W_S"].value + params["b"].value
+    out = aggregate(alpha, v, index.flat) + h @ params["W_S"].value + params["b"].value
 
     def backward(d_out, input_grad: bool = True):
         params["b"].add_grad(d_out.sum(axis=0, keepdims=True))
@@ -241,19 +294,19 @@ def graph_transformer_layer(
         d_h = d_out @ params["W_S"].value.T if input_grad else None
 
         d_msg = d_out.reshape(n, heads, d_head)
-        d_alpha = np.einsum("ehd,ehd->eh", v[cols], d_msg[rows])
-        d_v = aggregate(alpha[tperm], d_msg)  # transposed product, see AttentionStructure
+        d_alpha = np.einsum("ehd,ehd->eh", v[cols], per_entry(d_msg))
+        d_v = aggregate(alpha, d_msg, index.flat_t)
 
         # softmax backward per neighborhood segment
         inner = segment_sum(alpha * d_alpha, offsets)
-        d_scores = alpha * (d_alpha - inner[rows]) * inv_sqrt
-        d_q = aggregate(d_scores, k)
-        d_k = aggregate(d_scores[tperm], q)
+        d_scores = alpha * (d_alpha - per_entry(inner)) * inv_sqrt
+        d_q = aggregate(d_scores, k, index.flat)
+        d_k = aggregate(d_scores, q, index.flat_t)
 
-        for short, flat in (("W_Q", d_q), ("W_K", d_k), ("W_V", d_v)):
-            params[short].add_grad(h.T @ flat)
+        for short, d_proj in (("W_Q", d_q), ("W_K", d_k), ("W_V", d_v)):
+            params[short].add_grad(h.T @ d_proj)
             if input_grad:
-                d_h = d_h + flat @ params[short].value.T
+                d_h = d_h + d_proj @ params[short].value.T
         return d_h
 
     return out, backward
@@ -366,8 +419,7 @@ def save_checkpoint(model: Model, path: str) -> None:
         chunks.append(encoded)
         chunks.append(struct.pack("<QQ", *p.value.shape))
         chunks.append(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    _atomic_write(path, b"".join(chunks))
 
 
 def load_checkpoint(path: str) -> Model:

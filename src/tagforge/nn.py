@@ -75,36 +75,23 @@ def relu(x: np.ndarray):
     return out, backward
 
 
-class DropoutMask:
-    """Inverted-dropout mask: survivors scaled by 1/keep_prob at train time.
-
-    ``mask`` is None for the identity case (eval mode or keep_prob == 1).
-    """
-
-    def __init__(self, keep_prob: float, mask: np.ndarray | None):
-        self.keep_prob = keep_prob
-        self.mask = mask
-        self.scale = 1.0 / keep_prob
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.mask is None:
-            return x
-        return x * self.mask * self.scale
-
-
 def dropout(x: np.ndarray, keep_prob: float, rng=None, training: bool = True):
-    """Returns (output, DropoutMask). Evaluation mode is the identity."""
+    """Inverted dropout: returns (output, mask), survivors scaled by 1/keep_prob.
+
+    ``mask`` is the 0/1 keep mask already times 1/keep_prob, or None for the
+    identity (evaluation mode or keep_prob == 1). ``x * mask`` is bit-equal
+    to scaling the masked ``x``, signed zeros included.
+    """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
     if not training or keep_prob == 1.0:
-        return x, DropoutMask(1.0, None)
-    mask = (rng.random(x.shape) < keep_prob).astype(x.dtype)
-    dm = DropoutMask(keep_prob, mask)
-    return x * mask * dm.scale, dm
+        return x, None
+    mask = (rng.random(x.shape) < keep_prob).astype(x.dtype) * (1.0 / keep_prob)
+    return x * mask, mask
 
 
-def dropout_backward(dm: DropoutMask, d_out: np.ndarray) -> np.ndarray:
-    return dm.apply(d_out)
+def dropout_backward(mask: np.ndarray | None, d_out: np.ndarray) -> np.ndarray:
+    return d_out if mask is None else d_out * mask
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):

@@ -1,7 +1,11 @@
 """Shared fixtures and independent dense oracles for the test suite.
 
-The oracles here deliberately reimplement the math with dense matrices and
-plain loops; they never call into the package's sparse or tape code paths.
+The dense oracles here deliberately reimplement the math with dense
+matrices and plain loops; they never call into the package's sparse or tape
+code paths. ``reference_gt_layer`` is the exception: it is the per-head
+layout that the graph-transformer layer must match bit for bit, so it runs
+the package's ``spmm`` and segment kernels, which are tested against the
+oracles above.
 """
 
 import json
@@ -13,7 +17,14 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from tagforge.graph import Graph, from_edge_list
+from tagforge.graph import (
+    Graph,
+    NormalizedAdjacency,
+    from_edge_list,
+    segment_max,
+    segment_sum,
+    spmm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +90,57 @@ def reference_segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray
 def reference_spmm(adj, h: np.ndarray) -> np.ndarray:
     """out[i] = sum_j weight(i, j) * h[j] as a gather plus reference_segment_sum."""
     return reference_segment_sum(adj.weights[:, None] * h[adj.col_indices], adj.row_offsets)
+
+
+def reference_gt_layer(h, att, params, heads):
+    """The graph-transformer layer with one ``spmm`` per head and a concatenate.
+
+    The per-head oracle of ``graph_transformer_layer``: per-entry rows come
+    from fancy-indexing by each entry's row, and every transposed product
+    reorders its weights by ``tperm``. Returns (out, backward) like the
+    layer, with ``backward(d_out)`` returning d_h.
+    """
+    n, width = att.num_nodes, params["W_Q"].shape[1]
+    d_head = width // heads
+    inv_sqrt = 1.0 / math.sqrt(d_head)
+    rows = np.repeat(np.arange(n), np.diff(att.row_offsets))
+    cols, offsets, tperm = att.col_indices, att.row_offsets, att.tperm
+
+    q = (h @ params["W_Q"].value).reshape(n, heads, d_head)
+    k = (h @ params["W_K"].value).reshape(n, heads, d_head)
+    v = (h @ params["W_V"].value).reshape(n, heads, d_head)
+
+    def aggregate(weights, x):
+        return np.concatenate(
+            [
+                spmm(NormalizedAdjacency(n, offsets, cols, weights[:, head]), x[:, head])
+                for head in range(heads)
+            ],
+            axis=1,
+        )
+
+    scores = np.einsum("ehd,ehd->eh", q[rows], k[cols]) * inv_sqrt
+    exps = np.exp(scores - segment_max(scores, offsets)[rows])
+    alpha = exps / segment_sum(exps, offsets)[rows]
+    out = aggregate(alpha, v) + h @ params["W_S"].value + params["b"].value
+
+    def backward(d_out):
+        params["b"].add_grad(d_out.sum(axis=0, keepdims=True))
+        params["W_S"].add_grad(h.T @ d_out)
+        d_h = d_out @ params["W_S"].value.T
+        d_msg = d_out.reshape(n, heads, d_head)
+        d_alpha = np.einsum("ehd,ehd->eh", v[cols], d_msg[rows])
+        d_v = aggregate(alpha[tperm], d_msg)
+        inner = segment_sum(alpha * d_alpha, offsets)
+        d_scores = alpha * (d_alpha - inner[rows]) * inv_sqrt
+        d_q = aggregate(d_scores, k)
+        d_k = aggregate(d_scores[tperm], q)
+        for short, d_proj in (("W_Q", d_q), ("W_K", d_k), ("W_V", d_v)):
+            params[short].add_grad(h.T @ d_proj)
+            d_h = d_h + d_proj @ params[short].value.T
+        return d_h
+
+    return out, backward
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

@@ -382,6 +382,25 @@ def test_cli_train_prints_metrics_and_is_repeatable(tmp_path, capsys):
         == [l for l in second.splitlines() if l.startswith(("best_val", "test_acc", "epochs"))]
 
 
+def test_cli_train_log_keeps_previous_file_when_replace_fails(tmp_path, capsys, monkeypatch):
+    config = _write_config(tmp_path)
+    main(["prepare", "--config", config])
+    logs = tmp_path / "logs"
+    log_path = logs / "run.tsv"
+    train = ["train", "--config", config, "--encoder", "native", "--arch", "mlp", "--out"]
+    assert main(train + [str(log_path), "--seed", "1"]) == 0
+    previous = log_path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(train + [str(log_path), "--seed", "2"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert log_path.read_bytes() == previous
+    assert os.listdir(logs) == ["run.tsv"]
+
+
 def test_cli_train_matches_one_seed_bench(tmp_path, capsys):
     # train and bench share run_seed, so one seed gives the same accuracy
     config = _write_config(tmp_path, archs=["graph_transformer"],

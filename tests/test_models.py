@@ -2,12 +2,21 @@
 equivariances, initialization statistics, checkpoint container.
 """
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 import tagforge.models as models
-from conftest import dense_gt_attention, dense_normalized_adjacency, random_graph
+from conftest import (
+    dense_gt_attention,
+    dense_normalized_adjacency,
+    random_graph,
+    reference_gt_layer,
+)
 from tagforge.data import Dataset, generate_synthetic, split_high
 from tagforge.graph import NormalizedAdjacency, from_edge_list, normalize_adjacency, spmm
 from tagforge.models import (
@@ -360,11 +369,68 @@ def test_tperm_reordered_weights_give_transposed_product():
     rng = np.random.default_rng(5)
     weights = rng.normal(size=att.col_indices.size)  # weight(i, j) != weight(j, i)
     dense = np.zeros((n, n))
-    dense[att.rows, att.col_indices] = weights
+    dense[np.repeat(np.arange(n), att.degrees), att.col_indices] = weights
     assert not np.allclose(dense, dense.T)
     x = rng.normal(size=(n, 3))
     transposed = NormalizedAdjacency(n, att.row_offsets, att.col_indices, weights[att.tperm])
     np.testing.assert_allclose(spmm(transposed, x), dense.T @ x, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _graphs_with_isolated_nodes(draw):
+    """A graph on 2..12 nodes whose edges avoid at least one node, ids shuffled."""
+    n = draw(st.integers(2, 12))
+    linked = draw(st.integers(1, n - 1))
+    ids = st.integers(0, linked - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=3 * n))
+    perm = draw(st.permutations(range(n)))
+    return from_edge_list(n, [(perm[i], perm[j]) for i, j in pairs])
+
+
+@given(
+    graph=_graphs_with_isolated_nodes(),
+    heads=st.sampled_from([1, 2, 4]),
+    d_head=st.integers(1, 3),
+    d_in=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_gt_layer_is_bit_identical_to_per_head_reference(graph, heads, d_head, d_in, seed):
+    rng = np.random.default_rng(seed)
+    n, width = graph.num_nodes, heads * d_head
+    values = {short: rng.normal(size=(d_in, width)) for short in ("W_Q", "W_K", "W_V", "W_S")}
+    values["b"] = rng.normal(size=(1, width))
+    h = rng.normal(size=(n, d_in))
+    d_out = rng.normal(size=(n, width))
+    ours = {short: Parameter(v.copy(), short) for short, v in values.items()}
+    reference = {short: Parameter(v.copy(), short) for short, v in values.items()}
+    att = build_attention_structure(graph)
+
+    out, backward = graph_transformer_layer(h, att, ours, heads)
+    ref_out, ref_backward = reference_gt_layer(h, att, reference, heads)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(backward(d_out), ref_backward(d_out))
+    for short, p in ours.items():
+        assert np.array_equal(p.grad, reference[short].grad), short
+
+
+def test_head_index_built_once_per_structure_and_heads(monkeypatch):
+    built = []
+    build = models.build_head_index
+    monkeypatch.setattr(
+        models, "build_head_index", lambda att, heads: built.append(heads) or build(att, heads)
+    )
+    graph = random_graph(8, 0.4, 1)
+    att = build_attention_structure(graph)
+    rng = SplitMix64(4)
+    params = _gt_params(rng, 3, 4)
+    h = rng.normal((8, 3))
+    for heads in (2, 2, 1, 4, 1, 2):
+        graph_transformer_layer(h, att, params, heads)
+    assert built == [2, 1, 4]
+    assert att.head_index(2) is att.head_index(2)
+    assert build_attention_structure(graph).head_index(2) is not att.head_index(2)
+    assert built == [2, 1, 4, 2]
 
 
 def test_gt_backward_handles_isolated_nodes():
@@ -431,6 +497,22 @@ def test_checkpoint_roundtrip(arch, tmp_path):
     assert set(loaded.parameters) == set(model.parameters)
     for name, p in model.parameters.items():
         assert np.array_equal(loaded.parameters[name].value, p.value)
+
+
+def test_checkpoint_keeps_previous_file_when_replace_fails(tmp_path, monkeypatch):
+    spec = ModelSpec("mlp", in_dim=3, num_classes=2, layers=2, hidden=2)
+    path = tmp_path / "model.tagm"
+    save_checkpoint(init_parameters(spec, seed=0), str(path))
+    previous = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(init_parameters(spec, seed=1), str(path))
+    assert path.read_bytes() == previous
+    assert os.listdir(tmp_path) == ["model.tagm"]
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -69,14 +69,14 @@ def test_dropout_keep_one_is_identity():
     x = np.arange(6.0).reshape(2, 3)
     out, mask = dropout(x, 1.0, rng=SplitMix64(0), training=True)
     assert np.array_equal(out, x)
-    assert mask.mask is None
+    assert mask is None
 
 
 def test_dropout_eval_is_identity():
     x = np.arange(6.0).reshape(2, 3)
     out, mask = dropout(x, 0.3, rng=None, training=False)
     assert out is x
-    assert mask.mask is None
+    assert mask is None
 
 
 def test_dropout_invalid_keep_prob():
