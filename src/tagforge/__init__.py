@@ -23,7 +23,6 @@ from .features import (
 )
 from .graph import (
     Graph,
-    NormalizedAdjacency,
     from_edge_list,
     normalize_adjacency,
     spmm,
@@ -66,7 +65,6 @@ __all__ = [
     "Graph",
     "Model",
     "ModelSpec",
-    "NormalizedAdjacency",
     "Parameter",
     "RunResult",
     "SplitMask",

@@ -23,13 +23,15 @@ A benchmark is described by one JSON config file:
 ```
 
 Every block accepts only the keys shown above (``model`` defaults come
-from ``ModelSpec``). ``load_config`` coerces the synthetic ``dataset``,
-``split``, ``model`` and ``workers`` values and builds one ``ModelSpec``
-per arch, so an unknown key at any level, a value of the wrong type,
-``hidden`` not divisible by ``heads`` or empty ``seeds`` is a
-``ConfigError``. ``load_features`` and ``run_seed`` are the one path from
-a config to a trained run; ``run_cell`` and ``tagforge train`` both go
-through them. Sparse feature matrices (TF-IDF, bag-of-words) stay CSR.
+from ``ModelSpec``). ``load_config`` coerces every numeric value of the
+synthetic ``dataset``, the encoders, ``split``, ``train``, ``model`` and
+``workers`` (an integer field refuses a number with a fractional part)
+and builds one ``ModelSpec`` per arch, so an unknown key at any level, a
+value of the wrong type, ``hidden`` not divisible by ``heads`` or empty
+``seeds`` is a ``ConfigError``. ``load_features`` and ``run_seed`` are
+the one path from a config to a trained run; ``run_cell`` and ``tagforge
+train`` both go through them. Sparse feature matrices (TF-IDF,
+bag-of-words) stay CSR.
 
 ``split.seed`` is optional: when present the same split is reused for every
 run; when absent each run re-draws its split from the run seed. Prepared
@@ -71,10 +73,33 @@ _FORMAT_ALIASES = {"md": "markdown", "tex": "latex", "markdown": "markdown",
                    "latex": "latex", "csv": "csv"}
 _FORMAT_SUFFIX = {"markdown": "md", "latex": "tex", "csv": "csv"}
 _TOP_KEYS = {"dataset", "encoders", "archs", "split", "train", "model", "output", "workers"}
-_SYNTHETIC_CASTS = {"n": int, "classes": int, "p_in": float, "p_out": float, "dim": int,
-                    "sep": float, "seed": int}
+
+
+def _to_int(value) -> int:
+    """``int(value)``, refusing a number with a fractional part that ``int`` would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _optional_int(value) -> int | None:
+    return None if value is None else _to_int(value)
+
+
+def _seed_list(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"seeds must be a list of integers, got {value!r}")
+    return tuple(_to_int(seed) for seed in value)
+
+
+_SYNTHETIC_CASTS = {"n": _to_int, "classes": _to_int, "p_in": float, "p_out": float,
+                    "dim": _to_int, "sep": float, "seed": _to_int}
 _DATASET_KEYS = {"planetoid": {"kind", "dir", "name"}, "synthetic": {"kind", *_SYNTHETIC_CASTS}}
-_SPLIT_KEYS = {"protocol", "per_class", "n_val", "n_test", "seed"}
+_SPLIT_CASTS = {"per_class": _to_int, "n_val": _to_int, "n_test": _to_int, "seed": _optional_int}
+_SPLIT_KEYS = {"protocol", *_SPLIT_CASTS}
+_ENCODER_CASTS = {"vocab_size": _optional_int, "batch_size": _to_int, "max_in_flight": _to_int}
+_TRAIN_CASTS = {"epochs": _to_int, "patience": _to_int, "seeds": _seed_list}
+_MODEL_CASTS = {"layers": _to_int, "hidden": _to_int, "heads": _to_int, "dropout": float}
 _OUTPUT_KEYS = {"dir", "format"}
 # Feature matrices with at most this share of nonzero entries (TF-IDF and
 # bag-of-words, e.g. about 2% on Cora) are kept as CSR: the layer-0 products
@@ -117,6 +142,23 @@ def _reject_unknown(path: str, where: str, block: dict, known: set[str]) -> None
         raise ConfigError(f"{path}: unknown key {unknown[0]!r} in {where}")
 
 
+def _coerce(path: str, where: str, block, casts: dict) -> dict:
+    """A copy of the JSON object ``block`` with each key that ``casts`` names cast.
+
+    A non-object block or a value its cast rejects is a ConfigError.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: bad {where}: expected an object, got {block!r}")
+    block = dict(block)
+    for key, cast in casts.items():
+        if key in block:
+            try:
+                block[key] = cast(block[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: bad {where}: {key}: {exc}") from exc
+    return block
+
+
 def load_config(path: str) -> BenchConfig:
     """Parse and validate a benchmark config file."""
     try:
@@ -132,7 +174,7 @@ def load_config(path: str) -> BenchConfig:
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
     try:
-        dataset = dict(blob["dataset"])
+        dataset = _coerce(path, "dataset block", blob["dataset"], {})
         encoder_blobs = list(blob["encoders"])
         archs = list(blob["archs"])
     except (KeyError, TypeError) as exc:
@@ -163,16 +205,11 @@ def load_config(path: str) -> BenchConfig:
         raise ConfigError(f"{path}: dataset kind must be planetoid or synthetic")
     _reject_unknown(path, f"the {kind} dataset", dataset, _DATASET_KEYS[kind])
     if kind == "synthetic":
-        try:
-            for key, cast in _SYNTHETIC_CASTS.items():
-                if key in dataset:
-                    dataset[key] = cast(dataset[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad synthetic dataset block: {exc}") from exc
+        dataset = _coerce(path, "synthetic dataset block", dataset, _SYNTHETIC_CASTS)
 
     encoders = []
     for enc in encoder_blobs:
-        enc = dict(enc)
+        enc = _coerce(path, "encoder entry", enc, _ENCODER_CASTS)
         if "path" in enc and enc["path"]:
             enc["path"] = resolve(enc["path"])
         if "cache_dir" in enc and enc["cache_dir"]:
@@ -188,46 +225,28 @@ def load_config(path: str) -> BenchConfig:
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}: duplicate encoder names")
 
-    split = dict(blob.get("split", {"protocol": "high"}))
+    split = _coerce(path, "split block", blob.get("split", {"protocol": "high"}), _SPLIT_CASTS)
     _reject_unknown(path, "split", split, _SPLIT_KEYS)
     if split.get("protocol") not in ("low", "high"):
         raise ConfigError(f"{path}: split.protocol must be 'low' or 'high'")
-    try:
-        for key in ("per_class", "n_val", "n_test"):
-            if key in split:
-                split[key] = int(split[key])
-        if split.get("seed") is not None:
-            split["seed"] = int(split["seed"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad split block: {exc}") from exc
 
-    train_blob = dict(blob.get("train", {}))
-    if "seeds" in train_blob:
-        train_blob["seeds"] = tuple(int(s) for s in train_blob["seeds"])
+    train_blob = _coerce(path, "train block", blob.get("train", {}), _TRAIN_CASTS)
     try:
         trainspec = TrainSpec(**train_blob)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad train block: {exc}") from exc
 
+    model = _coerce(path, "model block", blob.get("model", {}), _MODEL_CASTS)
     try:
-        model = dict(blob.get("model", {}))
-        for key in ("layers", "hidden", "heads"):
-            if key in model:
-                model[key] = int(model[key])
-        if "dropout" in model:
-            model["dropout"] = float(model["dropout"])
         for arch in archs:
             ModelSpec(arch, in_dim=1, num_classes=2, **model)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad model block: {exc}") from exc
-    output = dict(blob.get("output", {}))
+    output = _coerce(path, "output block", blob.get("output", {}), {})
     _reject_unknown(path, "output", output, _OUTPUT_KEYS)
     out_dir = resolve(output.get("dir", "bench_out"))
     table_format = normalize_format(output.get("format", "markdown"))
-    try:
-        workers = int(blob.get("workers", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: workers must be an integer: {exc}") from exc
+    workers = _coerce(path, "top level", blob, {"workers": _to_int}).get("workers", 1)
     if workers < 1:
         raise ConfigError(f"{path}: workers must be >= 1")
     return BenchConfig(dataset, encoders, archs, split, trainspec, model, out_dir,
@@ -410,20 +429,17 @@ def run_bench(cfg: BenchConfig, log=None) -> BenchResult:
                        cfg.seeds, cells)
 
 
-def _cell_text(cell: CellResult, best: bool, bold: tuple[str, str]) -> str:
-    if not cell.ok:
-        return "failed"
-    body = f"{cell.mean * 100:.2f} ± {cell.std * 100:.2f}"
-    return f"{bold[0]}{body}{bold[1]}" if best else body
-
-
-def _row_best(result: BenchResult, encoder: str) -> str | None:
-    best_arch, best_mean = None, -1.0
-    for arch in result.archs:
-        cell = result.cells[(encoder, arch)]
-        if cell.ok and cell.mean > best_mean:
-            best_arch, best_mean = arch, cell.mean
-    return best_arch
+def _table_rows(result: BenchResult, plain: str, best: str):
+    """Per encoder, its cells formatted with ``plain``, or ``best`` for the
+    row's highest mean; both take ``mean`` and ``std`` in percent."""
+    for encoder in result.encoders:
+        cells = [result.cells[(encoder, arch)] for arch in result.archs]
+        top = max((c for c in cells if c.ok), key=lambda c: c.mean, default=None)
+        yield encoder, [
+            (best if c is top else plain).format(mean=c.mean * 100, std=c.std * 100)
+            if c.ok else "failed"
+            for c in cells
+        ]
 
 
 def to_markdown(result: BenchResult) -> str:
@@ -431,13 +447,8 @@ def to_markdown(result: BenchResult) -> str:
         f"| Encoder | {' | '.join(result.archs)} |",
         f"|---{'|---' * len(result.archs)}|",
     ]
-    for encoder in result.encoders:
-        best = _row_best(result, encoder)
-        cells = [
-            _cell_text(result.cells[(encoder, arch)], arch == best, ("**", "**"))
-            for arch in result.archs
-        ]
-        lines.append(f"| {encoder} | {' | '.join(cells)} |")
+    rows = _table_rows(result, "{mean:.2f} ± {std:.2f}", "**{mean:.2f} ± {std:.2f}**")
+    lines += [f"| {encoder} | {' | '.join(cells)} |" for encoder, cells in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -448,19 +459,9 @@ def to_latex(result: BenchResult) -> str:
         "Encoder & " + " & ".join(result.archs) + " \\\\",
         "\\hline",
     ]
-    for encoder in result.encoders:
-        best = _row_best(result, encoder)
-        cells = []
-        for arch in result.archs:
-            cell = result.cells[(encoder, arch)]
-            if not cell.ok:
-                cells.append("failed")
-                continue
-            mean = f"{cell.mean * 100:.2f}"
-            if arch == best:
-                mean = f"\\textbf{{{mean}}}"
-            cells.append(f"{mean} $\\pm$ {cell.std * 100:.2f}")
-        lines.append(f"{encoder} & " + " & ".join(cells) + " \\\\")
+    best = "\\textbf{{{mean:.2f}}} $\\pm$ {std:.2f}"
+    rows = _table_rows(result, "{mean:.2f} $\\pm$ {std:.2f}", best)
+    lines += [f"{encoder} & " + " & ".join(cells) + " \\\\" for encoder, cells in rows]
     lines += ["\\hline", "\\end{tabular}"]
     return "\n".join(lines) + "\n"
 

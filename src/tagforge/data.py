@@ -203,18 +203,17 @@ def split_low(
     return mask
 
 
-def split_high(n: int, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> SplitMask:
-    """High-label protocol: an exhaustive ratio split of all n nodes.
+def split_high(n: int, seed: int = 0) -> SplitMask:
+    """High-label protocol: an exhaustive 60/20/20 split of all n nodes.
 
-    Train and val take floor(ratio * n) nodes; test takes the remainder.
+    Train and val take floor(0.6 n) and floor(0.2 n) nodes; test takes the
+    remainder.
     """
     if n < 5:
         raise ValueError(f"need at least 5 nodes to split, got {n}")
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be three positive values summing to 1, got {ratios}")
     # +1e-9 guards float dust in products that are mathematically integral
-    n_train = int(np.floor(ratios[0] * n + 1e-9))
-    n_val = int(np.floor(ratios[1] * n + 1e-9))
+    n_train = int(np.floor(0.6 * n + 1e-9))
+    n_val = int(np.floor(0.2 * n + 1e-9))
     perm = SplitMix64(seed).permutation(n)
     mask = SplitMask(
         train=np.sort(perm[:n_train]),

@@ -1,9 +1,10 @@
 """CSR graph representation, validation, symmetric normalization, and the
 sparse row-aggregation kernels shared by the graph models.
 
-``segment_sum`` and ``spmm`` run as ``scipy.sparse`` CSR-times-dense
-products built on the CSR arrays stored here; ``segment_max`` stays on
-``np.maximum.reduceat``.
+``normalize_adjacency`` returns the self-looped, normalized adjacency as a
+``scipy.sparse.csr_array``: both graph models aggregate over its pattern.
+``segment_sum`` and ``spmm`` run as CSR-times-dense products;
+``segment_max`` stays on ``np.maximum.reduceat``.
 
 Feature matrices are plain 2-D float arrays (rows = nodes); node labels are
 1-D integer arrays. Everything here is immutable after construction and safe
@@ -38,21 +39,6 @@ class Graph:
     def num_edges(self) -> int:
         """Stored directed entries (twice the undirected edge count)."""
         return int(self.col_indices.shape[0])
-
-
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """CSR layout plus one weight per stored edge: the operand of ``spmm``.
-
-    ``normalize_adjacency`` gives positive symmetric weights; the graph
-    transformer builds one per aggregation over its (node, head) CSR, with
-    ``num_nodes`` counting node-head rows.
-    """
-
-    num_nodes: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    weights: np.ndarray
 
 
 def _csr_from_pairs(num_nodes: int, rows: np.ndarray, cols: np.ndarray):
@@ -124,17 +110,17 @@ def with_self_loops(g: Graph) -> Graph:
     return Graph(n, offsets, cols)
 
 
-def normalize_adjacency(g: Graph, add_self_loops: bool = True) -> NormalizedAdjacency:
-    """Symmetric normalization: weight(i, j) = 1 / sqrt(deg(i) * deg(j)).
+def normalize_adjacency(g: Graph) -> csr_array:
+    """D^{-1/2} (A+I) D^{-1/2}: weight(i, j) = 1 / sqrt(deg(i) * deg(j)).
 
-    With ``add_self_loops`` the degrees count A+I rows, so an isolated node
-    keeps a self-weight of exactly 1 and no row is all-zero.
+    The degrees count A+I rows, so an isolated node keeps a self-weight of
+    exactly 1 and no row is all-zero. Each row's columns stay sorted.
     """
-    base = with_self_loops(g) if add_self_loops else g
-    deg = np.diff(base.row_offsets).astype(np.float64)
-    rows = edge_rows(base)
-    weights = 1.0 / np.sqrt(deg[rows] * deg[base.col_indices])
-    return NormalizedAdjacency(base.num_nodes, base.row_offsets, base.col_indices, weights)
+    loops = with_self_loops(g)
+    n = loops.num_nodes
+    deg = np.diff(loops.row_offsets).astype(np.float64)
+    weights = 1.0 / np.sqrt(deg[edge_rows(loops)] * deg[loops.col_indices])
+    return csr_array((weights, loops.col_indices, loops.row_offsets), shape=(n, n))
 
 
 def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -163,18 +149,17 @@ def segment_max(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def spmm(adj: NormalizedAdjacency, h: np.ndarray) -> np.ndarray:
-    """Row-aggregation kernel: out[i] = sum_j weight(i, j) * h[j].
+def spmm(adj: csr_array, h: np.ndarray) -> np.ndarray:
+    """Row-aggregation kernel: out[i] = sum_j adj[i, j] * h[j].
 
-    One CSR-times-dense product over the stored arrays; each row sums its
-    entries in CSR storage order, so the result is bit-identical across
-    calls for the same inputs.
+    ``adj`` is a square ``csr_array``; each row sums its entries in CSR
+    storage order, so the result is bit-identical across calls for the
+    same inputs.
     """
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != adj.num_nodes:
+    if h.ndim != 2 or h.shape[0] != adj.shape[1]:
         raise ValueError(
             f"feature matrix has {h.shape[0] if h.ndim == 2 else '?'} rows, "
-            f"adjacency has {adj.num_nodes} nodes"
+            f"adjacency has {adj.shape[1]} nodes"
         )
-    n = adj.num_nodes
-    return csr_array((adj.weights, adj.col_indices, adj.row_offsets), shape=(n, n)) @ h
+    return adj @ h

@@ -4,9 +4,11 @@
 parameter shapes ``(d_in, d_out) -> {short: shape}``, the layer call
 ``(h, context, params, heads) -> (out, backward)``, whether hidden layers
 are multi-head, and whether the layer reads a ``PropagationContext`` (MLP
-does not). Init, checkpoints, ``forward_backward`` and ``gradcheck`` all
-read it. Calls name the layer functions as module globals, looked up when
-they run, so a wrapper installed on ``models.<layer>`` sees every call.
+does not). The context holds one self-looped CSR per graph: GCN
+multiplies by it, the graph transformer attends over its pattern. Init,
+checkpoints, ``forward_backward`` and ``gradcheck`` all read the table.
+Calls name the layer functions as module globals, looked up when they
+run, so a wrapper installed on ``models.<layer>`` sees every call.
 
 Layer l = 0..L-1 maps d_l -> d_{l+1}, with d_0 = in_dim, hidden widths in
 between and d_L = num_classes. MLP and GCN layers hold ``layer{l}.W``
@@ -32,18 +34,10 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .features import _atomic_write
-from .graph import (
-    Graph,
-    NormalizedAdjacency,
-    edge_rows,
-    normalize_adjacency,
-    segment_max,
-    segment_sum,
-    spmm,
-    with_self_loops,
-)
+from .graph import Graph, normalize_adjacency, segment_max, segment_sum, spmm
 from .nn import Parameter, add_bias, dropout, dropout_backward, matmul, relu
 from .rng import SplitMix64
 
@@ -107,10 +101,10 @@ class Model:
 
 @dataclass(frozen=True)
 class HeadIndex:
-    """An attention structure's (node, head) CSR at one head count H.
+    """The context's (node, head) CSR at one head count H.
 
     Row ``i*H + h`` holds the columns ``j*H + h`` for j in N(i) ∪ {i}, in
-    the structure's entry order, so one ``spmm`` over an (n*H, d_head)
+    the adjacency's entry order, so one ``spmm`` over an (n*H, d_head)
     operand aggregates every head at once and each row sums in the same
     order as a per-head product. ``flat`` gathers an (E, H) per-entry
     weight array, flattened, into this layout; ``flat_t`` gathers entry
@@ -125,21 +119,22 @@ class HeadIndex:
 
 
 @dataclass(frozen=True)
-class AttentionStructure:
-    """Neighbors-plus-self CSR used by transformer layers.
+class PropagationContext:
+    """The per-graph operator that both graph layers read, built once per run.
 
-    ``degrees`` counts each row's entries, so ``np.repeat(x, degrees,
-    axis=0)`` expands per-node rows to per-entry rows. ``tperm`` reorders
-    entries into transpose (column-major) order: the structure is
-    symmetric, so per-entry weights reordered by ``tperm`` on the same
-    offsets and columns form the transposed weighted matrix.
+    ``adj`` is the normalized self-looped adjacency D^{-1/2}(A+I)D^{-1/2}
+    (``normalize_adjacency``): GCN aggregates with it, and the graph
+    transformer attends over its pattern, N(i) ∪ {i}, reading its
+    ``indptr`` and ``indices``. ``degrees`` counts each row's entries, so
+    ``np.repeat(x, degrees, axis=0)`` expands per-node rows to per-entry
+    rows. ``tperm`` reorders entries into transpose (column-major) order:
+    the pattern is symmetric, so per-entry weights reordered by ``tperm``
+    on the same offsets and columns form the transposed weighted matrix.
     ``head_index(heads)`` is built on first use and kept here, so it lives
-    as long as the structure.
+    as long as the context.
     """
 
-    num_nodes: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
+    adj: csr_array
     degrees: np.ndarray
     tperm: np.ndarray
     _head_indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -151,41 +146,29 @@ class AttentionStructure:
         return index
 
 
-def build_attention_structure(g: Graph) -> AttentionStructure:
-    loops = with_self_loops(g)
-    tperm = np.lexsort((edge_rows(loops), loops.col_indices))
-    degrees = np.diff(loops.row_offsets)
-    return AttentionStructure(loops.num_nodes, loops.row_offsets, loops.col_indices, degrees, tperm)
+def build_context(g: Graph) -> PropagationContext:
+    adj = normalize_adjacency(g)
+    degrees = np.diff(adj.indptr)
+    rows = np.repeat(np.arange(adj.shape[0]), degrees)
+    return PropagationContext(adj, degrees, np.lexsort((rows, adj.indices)))
 
 
-def build_head_index(att: AttentionStructure, heads: int) -> HeadIndex:
-    """The (node, head) CSR of ``att``; see HeadIndex."""
-    num_rows = att.num_nodes * heads
-    row_degrees = np.repeat(att.degrees, heads)
+def build_head_index(context: PropagationContext, heads: int) -> HeadIndex:
+    """The (node, head) CSR of ``context.adj``'s pattern; see HeadIndex."""
+    num_rows = context.adj.shape[0] * heads
+    row_degrees = np.repeat(context.degrees, heads)
     offsets = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(row_degrees, out=offsets[1:])
     row = np.repeat(np.arange(num_rows), row_degrees)
     head = row % heads
-    entry = np.arange(offsets[-1]) - offsets[row] + att.row_offsets[row // heads]
+    entry = np.arange(offsets[-1]) - offsets[row] + context.adj.indptr[row // heads]
     return HeadIndex(
         num_rows,
         offsets,
-        att.col_indices[entry] * heads + head,
+        context.adj.indices[entry].astype(np.int64) * heads + head,
         entry * heads + head,
-        att.tperm[entry] * heads + head,
+        context.tperm[entry] * heads + head,
     )
-
-
-@dataclass(frozen=True)
-class PropagationContext:
-    """Per-graph operators shared by every forward pass on a dataset."""
-
-    adj: NormalizedAdjacency
-    att: AttentionStructure
-
-
-def build_context(g: Graph) -> PropagationContext:
-    return PropagationContext(normalize_adjacency(g), build_attention_structure(g))
 
 
 def glorot_uniform(rng: SplitMix64, fan_in: int, fan_out: int) -> np.ndarray:
@@ -220,7 +203,7 @@ def mlp_layer(h: np.ndarray, W: Parameter, b: Parameter):
     return out, backward
 
 
-def gcn_layer(h: np.ndarray, adj: NormalizedAdjacency, W: Parameter, b: Parameter):
+def gcn_layer(h: np.ndarray, adj: csr_array, W: Parameter, b: Parameter):
     """spmm(adj, h) @ W + b.
 
     Computed as spmm(adj, h @ W) + b: the aggregation is linear, so the
@@ -244,18 +227,19 @@ def gcn_layer(h: np.ndarray, adj: NormalizedAdjacency, W: Parameter, b: Paramete
 
 
 def graph_transformer_layer(
-    h: np.ndarray, att: AttentionStructure, params: dict[str, Parameter], heads: int
+    h: np.ndarray, context: PropagationContext, params: dict[str, Parameter], heads: int
 ):
     """Multi-head dot-product attention over each node's neighbors + self.
 
     Per head, attention weights are a softmax over the neighborhood of
     query-key scores scaled by 1/sqrt(d_head); head outputs are
-    concatenated and a learned skip transform W_S h + b is added. Every
-    aggregation is one ``spmm`` over the structure's (node, head) CSR (see
-    HeadIndex), and the backward's transposed products gather their
-    weights through ``flat_t``.
+    concatenated and a learned skip transform W_S h + b is added. The
+    neighborhoods are the rows of ``context.adj``'s pattern (its weights
+    are not read). Every aggregation is one ``spmm`` over the context's
+    (node, head) CSR (see HeadIndex), and the backward's transposed
+    products gather their weights through ``flat_t``.
     """
-    n = att.num_nodes
+    n = context.adj.shape[0]
     if h.shape[0] != n:
         raise ValueError(f"feature rows {h.shape[0]} != num_nodes {n}")
     width = params["W_Q"].shape[1]
@@ -263,8 +247,9 @@ def graph_transformer_layer(
         raise ValueError(f"attention width {width} not divisible by heads {heads}")
     d_head = width // heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
-    cols, offsets, degrees = att.col_indices, att.row_offsets, att.degrees
-    index = att.head_index(heads)
+    cols, offsets, degrees = context.adj.indices, context.adj.indptr, context.degrees
+    index = context.head_index(heads)
+    shape = (index.num_rows, index.num_rows)
 
     q = (h @ params["W_Q"].value).reshape(n, heads, d_head)
     k = (h @ params["W_K"].value).reshape(n, heads, d_head)
@@ -272,9 +257,7 @@ def graph_transformer_layer(
 
     def aggregate(weights, x, flat):
         """(n, width): the (E, H) ``weights`` gathered by ``flat`` times every head of x."""
-        adj = NormalizedAdjacency(
-            index.num_rows, index.row_offsets, index.col_indices, weights.reshape(-1)[flat]
-        )
+        adj = csr_array((weights.reshape(-1)[flat], index.col_indices, index.row_offsets), shape)
         return spmm(adj, x.reshape(index.num_rows, d_head)).reshape(n, width)
 
     def per_entry(x):
@@ -333,7 +316,7 @@ ARCH_TABLE: dict[str, Architecture] = {
     ),
     "graph_transformer": Architecture(
         _shapes("W_Q", "W_K", "W_V", "W_S"),
-        lambda h, context, p, heads: graph_transformer_layer(h, context.att, p, heads),
+        lambda h, context, p, heads: graph_transformer_layer(h, context, p, heads),
         multi_head=True,
     ),
     "mlp": Architecture(

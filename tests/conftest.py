@@ -17,29 +17,23 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from tagforge.graph import (
-    Graph,
-    NormalizedAdjacency,
-    from_edge_list,
-    segment_max,
-    segment_sum,
-    spmm,
-)
+from scipy.sparse import csr_array
+
+from tagforge.graph import Graph, from_edge_list, segment_max, segment_sum, spmm
 
 
 # ---------------------------------------------------------------------------
 # dense oracles
 
 
-def dense_normalized_adjacency(graph: Graph, add_self_loops: bool = True) -> np.ndarray:
-    """Materialize D^{-1/2} (A [+ I]) D^{-1/2} densely from scratch."""
+def dense_normalized_adjacency(graph: Graph) -> np.ndarray:
+    """Materialize D^{-1/2} (A + I) D^{-1/2} densely from scratch."""
     n = graph.num_nodes
     a = np.zeros((n, n))
     for i in range(n):
         for j in graph.col_indices[graph.row_offsets[i] : graph.row_offsets[i + 1]]:
             a[i, j] = 1.0
-    if add_self_loops:
-        a = np.minimum(a + np.eye(n), 1.0)
+    a = np.minimum(a + np.eye(n), 1.0)
     deg = a.sum(axis=1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
     return inv_sqrt[:, None] * a * inv_sqrt[None, :]
@@ -88,11 +82,11 @@ def reference_segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray
 
 
 def reference_spmm(adj, h: np.ndarray) -> np.ndarray:
-    """out[i] = sum_j weight(i, j) * h[j] as a gather plus reference_segment_sum."""
-    return reference_segment_sum(adj.weights[:, None] * h[adj.col_indices], adj.row_offsets)
+    """out[i] = sum_j adj[i, j] * h[j] as a gather plus reference_segment_sum."""
+    return reference_segment_sum(adj.data[:, None] * h[adj.indices], adj.indptr)
 
 
-def reference_gt_layer(h, att, params, heads):
+def reference_gt_layer(h, context, params, heads):
     """The graph-transformer layer with one ``spmm`` per head and a concatenate.
 
     The per-head oracle of ``graph_transformer_layer``: per-entry rows come
@@ -100,11 +94,11 @@ def reference_gt_layer(h, att, params, heads):
     reorders its weights by ``tperm``. Returns (out, backward) like the
     layer, with ``backward(d_out)`` returning d_h.
     """
-    n, width = att.num_nodes, params["W_Q"].shape[1]
+    n, width = context.adj.shape[0], params["W_Q"].shape[1]
     d_head = width // heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
-    rows = np.repeat(np.arange(n), np.diff(att.row_offsets))
-    cols, offsets, tperm = att.col_indices, att.row_offsets, att.tperm
+    cols, offsets, tperm = context.adj.indices, context.adj.indptr, context.tperm
+    rows = np.repeat(np.arange(n), np.diff(offsets))
 
     q = (h @ params["W_Q"].value).reshape(n, heads, d_head)
     k = (h @ params["W_K"].value).reshape(n, heads, d_head)
@@ -113,7 +107,7 @@ def reference_gt_layer(h, att, params, heads):
     def aggregate(weights, x):
         return np.concatenate(
             [
-                spmm(NormalizedAdjacency(n, offsets, cols, weights[:, head]), x[:, head])
+                spmm(csr_array((weights[:, head], cols, offsets), shape=(n, n)), x[:, head])
                 for head in range(heads)
             ],
             axis=1,

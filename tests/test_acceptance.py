@@ -23,7 +23,7 @@ from tagforge.gradcheck import CHECKS, TOLERANCE, run_gradcheck
 from tagforge.graph import normalize_adjacency
 from tagforge.models import (
     ModelSpec,
-    build_attention_structure,
+    build_context,
     gcn_layer,
     graph_transformer_layer,
     init_parameters,
@@ -74,7 +74,7 @@ def test_criterion_2_dense_oracle_equivalence():
             for name in ("W_Q", "W_K", "W_V", "W_S")
         }
         params["b"] = Parameter(rng.normal((1, 8)), "b")
-        gt_out, _ = graph_transformer_layer(h, build_attention_structure(g), params, heads=2)
+        gt_out, _ = graph_transformer_layer(h, build_context(g), params, heads=2)
         gt_dense, _ = dense_gt_attention(h, g, params, heads=2)
         worst = max(worst, float(np.abs(gt_out - gt_dense).max()))
     _report(2, worst < 1e-10, f"GCN/GT layers vs dense oracles: max abs diff {worst:.2e}")

@@ -104,11 +104,46 @@ def test_config_invalid_json(tmp_path):
         ({"worker": 2}, "unknown key 'worker' in the top level"),
         ({"dataset": {"kind": "synthetic", "n": "many", "classes": 2, "p_in": 0.9,
                       "p_out": 0.05}}, "bad synthetic dataset block"),
+        ({"train": {"seeds": ["a"]}}, "train block"),
+        ({"train": {"seeds": 3}}, "train block"),
+        # integer fields refuse a fractional part instead of truncating it
+        ({"train": {"epochs": 5.5}}, "train block: epochs"),
+        ({"train": {"patience": 2.5}}, "train block: patience"),
+        ({"train": {"seeds": [0, 1.5]}}, "train block: seeds"),
+        ({"model": {"layers": 2.6}}, "model block: layers"),
+        ({"workers": 1.5}, "workers"),
+        ({"split": {"protocol": "low", "n_val": 10.5}}, "split block: n_val"),
+        ({"split": {"protocol": "high", "seed": float("inf")}}, "split block: seed"),
+        ({"dataset": {"kind": "synthetic", "n": 40.5, "classes": 2, "p_in": 0.9,
+                      "p_out": 0.05}}, "synthetic dataset block: n"),
+        ({"encoders": [{"name": "t", "kind": "tfidf", "vocab_size": 4.5}]},
+         "encoder entry: vocab_size"),
+        ({"model": 5}, "model block: expected an object"),
+        ({"dataset": "cora"}, "dataset block: expected an object"),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, overrides, message):
     with pytest.raises(ConfigError, match=message):
         load_config(_write_config(tmp_path, **overrides))
+
+
+def test_config_accepts_integral_numbers(tmp_path):
+    cfg = load_config(_write_config(
+        tmp_path,
+        train={"epochs": 15.0, "patience": "15", "seeds": [0.0, 1]},
+        model={"layers": 2.0, "hidden": 8, "heads": 2},
+        workers=2.0,
+    ))
+    assert (cfg.trainspec.epochs, cfg.trainspec.patience, cfg.seeds) == (15, 15, (0, 1))
+    assert cfg.model["layers"] == 2 and cfg.workers == 2
+    assert all(type(v) is int for v in (cfg.trainspec.epochs, cfg.model["layers"], cfg.workers))
+
+
+@pytest.mark.parametrize("seeds", [["a"], 3])
+def test_cli_bad_seeds_exit_2(tmp_path, capsys, seeds):
+    config = _write_config(tmp_path, train={"epochs": 2, "seeds": seeds})
+    assert main(["bench", "--config", config]) == 2
+    assert "train block" in capsys.readouterr().err
 
 
 def test_config_duplicate_encoder_names(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from conftest import (
     dense_normalized_adjacency,
@@ -87,33 +88,27 @@ def test_with_self_loops_inserts_sorted_and_dedups():
 
 def test_two_node_path_weights_are_half():
     adj = normalize_adjacency(from_edge_list(2, [(0, 1)]))
-    assert np.allclose(adj.weights, 0.5)
-    assert adj.col_indices.tolist() == [0, 1, 0, 1]
+    assert np.allclose(adj.data, 0.5)
+    assert adj.indices.tolist() == [0, 1, 0, 1]
 
 
 def test_edgeless_normalization_is_identity():
     adj = normalize_adjacency(from_edge_list(3, []))
-    assert adj.col_indices.tolist() == [0, 1, 2]
-    assert np.array_equal(adj.weights, np.ones(3))
+    assert adj.indices.tolist() == [0, 1, 2]
+    assert np.array_equal(adj.data, np.ones(3))
 
 
 def test_triangle_weights_are_third():
     adj = normalize_adjacency(from_edge_list(3, [(0, 1), (1, 2), (2, 0)]))
-    assert np.allclose(adj.weights, 1.0 / 3.0)
-    assert adj.weights.size == 9
+    assert np.allclose(adj.data, 1.0 / 3.0)
+    assert adj.data.size == 9
 
 
 def test_isolated_node_keeps_unit_self_weight():
     adj = normalize_adjacency(from_edge_list(3, [(0, 1)]))
-    start, end = adj.row_offsets[2], adj.row_offsets[3]
-    assert adj.col_indices[start:end].tolist() == [2]
-    assert adj.weights[start:end].tolist() == [1.0]
-
-
-def test_no_self_loop_variant():
-    adj = normalize_adjacency(from_edge_list(2, [(0, 1)]), add_self_loops=False)
-    assert adj.col_indices.tolist() == [1, 0]
-    assert np.array_equal(adj.weights, np.ones(2))  # degrees are 1
+    start, end = adj.indptr[2], adj.indptr[3]
+    assert adj.indices[start:end].tolist() == [2]
+    assert adj.data[start:end].tolist() == [1.0]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -122,10 +117,10 @@ def test_normalization_matches_dense_oracle(seed):
     adj = normalize_adjacency(g)
     dense = dense_normalized_adjacency(g)
     rebuilt = np.zeros_like(dense)
-    rows = np.repeat(np.arange(g.num_nodes), np.diff(adj.row_offsets))
-    rebuilt[rows, adj.col_indices] = adj.weights
+    rows = np.repeat(np.arange(g.num_nodes), np.diff(adj.indptr))
+    rebuilt[rows, adj.indices] = adj.data
     assert np.abs(rebuilt - dense).max() < 1e-12
-    assert np.all(adj.weights > 0) and np.all(adj.weights <= 1.0)
+    assert np.all(adj.data > 0) and np.all(adj.data <= 1.0)
 
 
 @pytest.mark.parametrize(
@@ -137,7 +132,7 @@ def test_normalization_matches_dense_oracle(seed):
 )
 def test_row_sums_are_one_on_regular_graphs(edges, n):
     adj = normalize_adjacency(from_edge_list(n, edges))
-    sums = segment_sum(adj.weights[:, None], adj.row_offsets).ravel()
+    sums = segment_sum(adj.data[:, None], adj.indptr).ravel()
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
 
 
@@ -195,12 +190,16 @@ def test_segment_sum_handles_empty_segments():
 @settings(max_examples=80, deadline=None)
 def test_csr_kernels_match_reduceat_reference(n, seed, p, self_loops, trailing):
     # without self loops, isolated nodes are empty rows
-    adj = normalize_adjacency(random_graph(n, p, seed), add_self_loops=self_loops)
+    g = random_graph(n, p, seed)
+    if self_loops:
+        g = with_self_loops(g)
     rng = np.random.default_rng(seed)
-    values = rng.normal(size=(adj.col_indices.size,) + trailing)
+    weights = rng.normal(size=g.num_edges)  # weight(i, j) != weight(j, i)
+    adj = csr_array((weights, g.col_indices, g.row_offsets), shape=(n, n))
+    values = rng.normal(size=(g.num_edges,) + trailing)
     np.testing.assert_allclose(
-        segment_sum(values, adj.row_offsets),
-        reference_segment_sum(values, adj.row_offsets),
+        segment_sum(values, g.row_offsets),
+        reference_segment_sum(values, g.row_offsets),
         rtol=0,
         atol=1e-12,
     )

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
+import tagforge.graph as graph_module
 import tagforge.models as models
 from conftest import (
     dense_gt_attention,
@@ -18,12 +19,11 @@ from conftest import (
     reference_gt_layer,
 )
 from tagforge.data import Dataset, generate_synthetic, split_high
-from tagforge.graph import NormalizedAdjacency, from_edge_list, normalize_adjacency, spmm
+from tagforge.graph import Graph, from_edge_list, normalize_adjacency, spmm
 from tagforge.models import (
     ARCHITECTURES,
     CheckpointFormatError,
     ModelSpec,
-    build_attention_structure,
     build_context,
     forward,
     forward_backward,
@@ -147,7 +147,7 @@ def test_gt_layer_isolated_node_is_value_plus_skip():
     rng = SplitMix64(7)
     params = _gt_params(rng, 4, 6)
     h = rng.normal((3, 4))
-    out, _ = graph_transformer_layer(h, build_attention_structure(g), params, heads=2)
+    out, _ = graph_transformer_layer(h, build_context(g), params, heads=2)
     expected = h[2] @ params["W_V"].value + h[2] @ params["W_S"].value + params["b"].value
     assert np.abs(out[2] - expected).max() < 1e-12
 
@@ -158,7 +158,7 @@ def test_gt_layer_identical_features_give_uniform_attention():
     params = _gt_params(rng, 3, 4)
     row = rng.normal((1, 3))
     h = np.tile(row, (4, 1))
-    out, _ = graph_transformer_layer(h, build_attention_structure(g), params, heads=2)
+    out, _ = graph_transformer_layer(h, build_context(g), params, heads=2)
     # uniform attention over identical rows averages to the same row transform
     expected = row @ params["W_V"].value + row @ params["W_S"].value + params["b"].value
     assert np.abs(out - np.tile(expected, (4, 1))).max() < 1e-12
@@ -172,7 +172,7 @@ def test_gt_layer_matches_dense_masked_oracle(seed):
     heads = 2
     params = _gt_params(rng, 5, 8)
     h = rng.normal((n, 5))
-    out, _ = graph_transformer_layer(h, build_attention_structure(g), params, heads=heads)
+    out, _ = graph_transformer_layer(h, build_context(g), params, heads=heads)
     expected, alphas = dense_gt_attention(h, g, params, heads)
     assert np.abs(out - expected).max() < 1e-10
     for alpha in alphas:  # neighborhood coefficients are a proper distribution
@@ -365,14 +365,15 @@ def test_backward_skips_only_the_layer0_input_gradient(arch, monkeypatch):
 
 def test_tperm_reordered_weights_give_transposed_product():
     n = 12
-    att = build_attention_structure(random_graph(n, 0.3, 5))
+    context = build_context(random_graph(n, 0.3, 5))
+    indptr, indices = context.adj.indptr, context.adj.indices
     rng = np.random.default_rng(5)
-    weights = rng.normal(size=att.col_indices.size)  # weight(i, j) != weight(j, i)
+    weights = rng.normal(size=indices.size)  # weight(i, j) != weight(j, i)
     dense = np.zeros((n, n))
-    dense[np.repeat(np.arange(n), att.degrees), att.col_indices] = weights
+    dense[np.repeat(np.arange(n), context.degrees), indices] = weights
     assert not np.allclose(dense, dense.T)
     x = rng.normal(size=(n, 3))
-    transposed = NormalizedAdjacency(n, att.row_offsets, att.col_indices, weights[att.tperm])
+    transposed = csr_array((weights[context.tperm], indices, indptr), shape=(n, n))
     np.testing.assert_allclose(spmm(transposed, x), dense.T @ x, rtol=0, atol=1e-12)
 
 
@@ -404,10 +405,10 @@ def test_gt_layer_is_bit_identical_to_per_head_reference(graph, heads, d_head, d
     d_out = rng.normal(size=(n, width))
     ours = {short: Parameter(v.copy(), short) for short, v in values.items()}
     reference = {short: Parameter(v.copy(), short) for short, v in values.items()}
-    att = build_attention_structure(graph)
+    context = build_context(graph)
 
-    out, backward = graph_transformer_layer(h, att, ours, heads)
-    ref_out, ref_backward = reference_gt_layer(h, att, reference, heads)
+    out, backward = graph_transformer_layer(h, context, ours, heads)
+    ref_out, ref_backward = reference_gt_layer(h, context, reference, heads)
     assert np.array_equal(out, ref_out)
     assert np.array_equal(backward(d_out), ref_backward(d_out))
     for short, p in ours.items():
@@ -418,35 +419,66 @@ def test_head_index_built_once_per_structure_and_heads(monkeypatch):
     built = []
     build = models.build_head_index
     monkeypatch.setattr(
-        models, "build_head_index", lambda att, heads: built.append(heads) or build(att, heads)
+        models,
+        "build_head_index",
+        lambda context, heads: built.append(heads) or build(context, heads),
     )
     graph = random_graph(8, 0.4, 1)
-    att = build_attention_structure(graph)
+    context = build_context(graph)
     rng = SplitMix64(4)
     params = _gt_params(rng, 3, 4)
     h = rng.normal((8, 3))
     for heads in (2, 2, 1, 4, 1, 2):
-        graph_transformer_layer(h, att, params, heads)
+        graph_transformer_layer(h, context, params, heads)
     assert built == [2, 1, 4]
-    assert att.head_index(2) is att.head_index(2)
-    assert build_attention_structure(graph).head_index(2) is not att.head_index(2)
+    assert context.head_index(2) is context.head_index(2)
+    assert build_context(graph).head_index(2) is not context.head_index(2)
     assert built == [2, 1, 4, 2]
+
+
+def test_build_context_adds_self_loops_once(monkeypatch):
+    calls = []
+    add_loops = graph_module.with_self_loops
+    for module in (graph_module, models):  # whichever name build_context reaches
+        monkeypatch.setattr(
+            module, "with_self_loops", lambda g: calls.append(g) or add_loops(g), raising=False
+        )
+    graph = random_graph(10, 0.3, 2)
+    context = build_context(graph)
+    assert calls == [graph]
+    assert context.adj.shape == (10, 10)
+    assert np.array_equal(context.degrees, np.diff(context.adj.indptr))
+
+
+def test_gt_layer_reads_the_adjacency_pattern_of_its_context():
+    # Point node 0's neighbor at node 2 instead of node 1, in place: a layer
+    # that kept its own copy of the pattern would still attend to node 1.
+    context = build_context(from_edge_list(3, [(0, 1)]))
+    assert context.adj.indices[:2].tolist() == [0, 1]
+    context.adj.indices[1] = 2
+    rng = SplitMix64(9)
+    params = _gt_params(rng, 3, 4)
+    h = rng.normal((3, 3))
+    pattern = Graph(3, context.adj.indptr, context.adj.indices)
+    out, _ = graph_transformer_layer(h, context, params, heads=2)
+    expected, _ = dense_gt_attention(h, pattern, params, heads=2)
+    assert np.abs(out - expected).max() < 1e-12
 
 
 def test_gt_backward_handles_isolated_nodes():
     # node 3 has only its self-loop; finite differences must still agree
     from tagforge.gradcheck import numeric_grad, rel_error
 
-    att = build_attention_structure(from_edge_list(4, [(0, 1), (1, 2)]))
+    context = build_context(from_edge_list(4, [(0, 1), (1, 2)]))
     rng = SplitMix64(21)
     params = _gt_params(rng, 3, 4)
     h = rng.normal((4, 3))
     weights = rng.normal((4, 4))
 
     def loss():
-        return float((graph_transformer_layer(h, att, params, heads=2)[0] * weights).sum())
+        return float((graph_transformer_layer(h, context, params, heads=2)[0] * weights).sum())
 
-    _, backward = graph_transformer_layer(h, att, params, heads=2)
+    _, backward = graph_transformer_layer(h, context, params, heads=2)
     d_h = backward(weights)
     assert rel_error(d_h, numeric_grad(loss, h)) < 1e-5
     for p in params.values():
