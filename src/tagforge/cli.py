@@ -100,6 +100,7 @@ def _cmd_train(args) -> int:
     print(f"best_val_acc={result.best_val_acc:.4f}")
     print(f"test_acc={result.test_acc_at_best_val:.4f}")
     print(f"epochs_ran={result.epochs_ran}")
+    print(f"stop_reason={result.stop_reason}")
     if args.out:
         _atomic_write(args.out, ("\n".join(run_log_lines(result)) + "\n").encode())
         print(f"log written to {args.out}")

@@ -51,8 +51,9 @@ class EncoderSpec:
     * tfidf: ``vocab_size``
     * file: ``path`` to an EMB1 file
     * remote: ``endpoint``, ``model``; ``cache_dir`` defaults to
-      $TAGFORGE_CACHE; ``batch_size``, ``max_in_flight`` and
-      ``retry_base_delay`` tune the client.
+      $TAGFORGE_CACHE; ``batch_size``, ``max_in_flight``,
+      ``retry_base_delay`` and ``timeout`` (seconds per request, > 0)
+      tune the client.
     """
 
     name: str
@@ -65,12 +66,15 @@ class EncoderSpec:
     cache_dir: str | None = None
     max_in_flight: int = 1
     retry_base_delay: float = 0.5
+    timeout: float = 30.0
 
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
             raise ValueError(f"encoder kind must be one of {ENCODER_KINDS}, got {self.kind!r}")
         if not self.name:
             raise ValueError("encoder needs a name")
+        if not 0 < self.timeout < float("inf"):
+            raise ValueError(f"timeout must be a positive number of seconds, got {self.timeout!r}")
         if self.kind == "tfidf" and (self.vocab_size is None or self.vocab_size < 1):
             raise ValueError(f"tfidf encoder {self.name!r} requires a positive vocab_size")
         if self.kind == "file" and not self.path:
@@ -183,7 +187,7 @@ def _cache_key(model: str, text: str) -> str:
     return digest.hexdigest()
 
 
-def _post_embed(endpoint: str, model: str, texts: list[str], timeout: float = 30.0):
+def _post_embed(endpoint: str, model: str, texts: list[str], timeout: float):
     url = endpoint.rstrip("/") + "/embed"
     body = json.dumps({"model": model, "texts": texts}).encode()
     request = urllib.request.Request(
@@ -205,7 +209,7 @@ def _fetch_batch(spec: EncoderSpec, texts: list[str]) -> list[np.ndarray]:
     last_error: Exception | None = None
     for attempt in range(3):
         try:
-            vectors = _post_embed(spec.endpoint, spec.model, texts)
+            vectors = _post_embed(spec.endpoint, spec.model, texts, spec.timeout)
             break
         except RemoteEmbeddingError as exc:
             last_error = exc

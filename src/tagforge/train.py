@@ -3,7 +3,8 @@
 Protocol per run: every epoch does a training-mode forward, cross-entropy
 on the train mask, a full backward pass, one Adam step, then a validation
 accuracy check. Training stops after ``patience`` consecutive epochs
-without a new best validation accuracy, or at the epoch cap. The reported
+without a new best validation accuracy, or at the epoch cap; the run's
+``stop_reason`` says which (``"patience"`` or ``"epoch_cap"``). The reported
 test accuracy always belongs to the best-validation parameter snapshot,
 which is restored into the model before returning. A non-finite training
 loss or gradient ends the run with a ``FloatingPointError`` naming the
@@ -106,6 +107,7 @@ class RunResult:
     best_val_acc: float
     test_acc_at_best_val: float
     epochs_ran: int
+    stop_reason: str  # "patience" or "epoch_cap"
     loss_curve: list[float] = field(default_factory=list)
     val_curve: list[float] = field(default_factory=list)
 
@@ -143,6 +145,7 @@ def train(
     losses: list[float] = []
     vals: list[float] = []
     epochs_ran = 0
+    stop_reason = "epoch_cap"
 
     for epoch in range(1, spec.epochs + 1):
         epochs_ran = epoch
@@ -160,11 +163,12 @@ def train(
             best_epoch = epoch
             best_params = model.snapshot()
         elif epoch - best_epoch >= spec.patience:
+            stop_reason = "patience"
             break
 
     model.restore(best_params)
     test_acc = evaluate(model, dataset, split.test, context)
-    return RunResult(best_val, test_acc, epochs_ran, losses, vals)
+    return RunResult(best_val, test_acc, epochs_ran, stop_reason, losses, vals)
 
 
 def aggregate(results: list[RunResult]) -> tuple[float, float]:

@@ -58,6 +58,11 @@ def _write_config(tmp_path, **overrides):
     return str(path)
 
 
+def _remote_encoder(**fields):
+    return {"name": "svc", "kind": "remote", "endpoint": "http://127.0.0.1:9", "model": "m",
+            "cache_dir": "cache", **fields}
+
+
 # ---------------------------------------------------------------------------
 # config
 
@@ -120,6 +125,8 @@ def test_config_invalid_json(tmp_path):
          "encoder entry: vocab_size"),
         ({"model": 5}, "model block: expected an object"),
         ({"dataset": "cora"}, "dataset block: expected an object"),
+        *(({"encoders": [_remote_encoder(timeout=bad)]}, "encoder entry.*timeout(:| must)")
+          for bad in (0, -1.5, "soon", None, [30], float("nan"), float("inf"))),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, overrides, message):
@@ -144,6 +151,13 @@ def test_cli_bad_seeds_exit_2(tmp_path, capsys, seeds):
     config = _write_config(tmp_path, train={"epochs": 2, "seeds": seeds})
     assert main(["bench", "--config", config]) == 2
     assert "train block" in capsys.readouterr().err
+
+
+def test_config_encoder_timeout_defaults_and_loads(tmp_path):
+    cfg = load_config(_write_config(
+        tmp_path, encoders=[_remote_encoder(), _remote_encoder(name="fast", timeout="2.5")]
+    ))
+    assert [e.timeout for e in cfg.encoders] == [30.0, 2.5]
 
 
 def test_config_duplicate_encoder_names(tmp_path):
@@ -407,14 +421,16 @@ def test_cli_train_prints_metrics_and_is_repeatable(tmp_path, capsys):
     assert elapsed < 60.0
     first = capsys.readouterr().out
     assert "test_acc=" in first and "epochs_ran=" in first
+    assert re.search(r"^stop_reason=(patience|epoch_cap)$", first, re.MULTILINE)
     lines = log_path.read_text().strip().splitlines()
     assert all(len(line.split("\t")) == 3 for line in lines)
     main([
         "train", "--config", config, "--encoder", "native", "--arch", "gcn", "--seed", "7",
     ])
     second = capsys.readouterr().out
-    assert [l for l in first.splitlines() if l.startswith(("best_val", "test_acc", "epochs"))] \
-        == [l for l in second.splitlines() if l.startswith(("best_val", "test_acc", "epochs"))]
+    keys = ("best_val", "test_acc", "epochs", "stop_reason")
+    assert [l for l in first.splitlines() if l.startswith(keys)] \
+        == [l for l in second.splitlines() if l.startswith(keys)]
 
 
 def test_cli_train_log_keeps_previous_file_when_replace_fails(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import math
 import os
 import struct
+import urllib.request
 
 import numpy as np
 import pytest
@@ -233,6 +234,21 @@ def test_remote_embed_dead_endpoint_names_it(tmp_path):
     )
     with pytest.raises(RemoteEmbeddingError, match="127.0.0.1:9"):
         remote_embed(spec, ["text"])
+
+
+def test_remote_embed_passes_the_spec_timeout_to_urlopen(embed_server, tmp_path, monkeypatch):
+    timeouts = []
+    urlopen = urllib.request.urlopen
+
+    def recording_urlopen(request, timeout):
+        timeouts.append(timeout)
+        return urlopen(request, timeout=timeout)
+
+    monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+    remote_embed(_remote_spec(embed_server, tmp_path, timeout=2.5), ["a", "b", "c"])
+    assert timeouts == [2.5, 2.5]
+    remote_embed(_remote_spec(embed_server, tmp_path, batch_size=8), ["d"])
+    assert timeouts == [2.5, 2.5, 30.0]
 
 
 def test_remote_embed_rejects_cross_batch_dimension_mismatch(embed_server, tmp_path):

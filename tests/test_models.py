@@ -397,6 +397,10 @@ def _graphs_with_isolated_nodes(draw):
 )
 @settings(max_examples=80, deadline=None)
 def test_gt_layer_is_bit_identical_to_per_head_reference(graph, heads, d_head, d_in, seed):
+    _assert_gt_layer_matches_reference(graph, heads, d_head, d_in, seed)
+
+
+def _assert_gt_layer_matches_reference(graph, heads, d_head, d_in, seed):
     rng = np.random.default_rng(seed)
     n, width = graph.num_nodes, heads * d_head
     values = {short: rng.normal(size=(d_in, width)) for short in ("W_Q", "W_K", "W_V", "W_S")}
@@ -413,6 +417,23 @@ def test_gt_layer_is_bit_identical_to_per_head_reference(graph, heads, d_head, d
     assert np.array_equal(backward(d_out), ref_backward(d_out))
     for short, p in ours.items():
         assert np.array_equal(p.grad, reference[short].grad), short
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_gt_layer_blocks_of_entries_are_bit_identical(monkeypatch, block, heads):
+    # Two isolated nodes, then three triangles: E = 2 + 3 * 9 = 29 entries, so
+    # blocks of 2 and 3 split rows and end on a partial block inside a
+    # triangle's row (a one-entry row's softmax would hide a skipped score).
+    graph = from_edge_list(
+        11, [(a + i, a + j) for a in (2, 5, 8) for i, j in ((0, 1), (1, 2), (0, 2))]
+    )
+    context = build_context(graph)
+    assert context.adj.indices.size == 29
+    assert np.array_equal(context.rows, np.repeat(np.arange(11), context.degrees))
+    d_head = 2
+    monkeypatch.setattr(models, "_BLOCK_BYTES", block * heads * d_head * 8)
+    _assert_gt_layer_matches_reference(graph, heads, d_head, 3, seed=block * 10 + heads)
 
 
 def test_head_index_built_once_per_structure_and_heads(monkeypatch):

@@ -169,10 +169,10 @@ def test_train_loss_curve_falls_below_threshold():
     assert min(result.loss_curve) < math.log(2) / 10.0
 
 
-def test_stops_after_patience_without_improvement():
-    # zero features: logits depend only on biases, so every node gets the
-    # same prediction; with class 0 the training majority, validation
-    # accuracy is constant and epoch 1 is the last improvement.
+def _train_constant_val(tspec):
+    """Zero features: logits depend only on biases, so every node gets the
+    same prediction; with class 0 the training majority, validation
+    accuracy is constant and epoch 1 is the last improvement."""
     n = 30
     labels = np.zeros(n, dtype=np.int64)
     labels[-6:] = 1
@@ -180,8 +180,23 @@ def test_stops_after_patience_without_improvement():
     ds = Dataset(graph, np.zeros((n, 3)), labels, 2)
     split = SplitMask(np.arange(0, 18), np.arange(18, 24), np.arange(24, 30))
     spec = ModelSpec("mlp", in_dim=3, num_classes=2, layers=2, hidden=4, dropout=0.0)
-    result = train(init_parameters(spec, 0), ds, split, TrainSpec(patience=1), seed=0)
-    assert result.epochs_ran <= 2
+    return train(init_parameters(spec, 0), ds, split, tspec, seed=0)
+
+
+def test_stops_after_patience_without_improvement():
+    assert _train_constant_val(TrainSpec(patience=1)).epochs_ran <= 2
+
+
+def test_stop_reason_names_patience_or_epoch_cap():
+    results = {
+        (epochs, patience): _train_constant_val(TrainSpec(epochs=epochs, patience=patience))
+        for epochs, patience in ((300, 1), (3, 5), (2, 1))
+    }
+    assert {key: (r.stop_reason, r.epochs_ran) for key, r in results.items()} == {
+        (300, 1): ("patience", 2),
+        (3, 5): ("epoch_cap", 3),
+        (2, 1): ("patience", 2),  # patience runs out on the capped epoch
+    }
 
 
 def test_epochs_never_exceed_best_plus_patience():
@@ -242,7 +257,9 @@ def test_train_rejects_bad_split():
 
 
 def _result(acc):
-    return RunResult(best_val_acc=acc, test_acc_at_best_val=acc, epochs_ran=1)
+    return RunResult(
+        best_val_acc=acc, test_acc_at_best_val=acc, epochs_ran=1, stop_reason="epoch_cap"
+    )
 
 
 def test_aggregate_hand_case():
@@ -268,6 +285,6 @@ def test_aggregate_needs_at_least_one_run():
 
 
 def test_run_log_lines_field_order():
-    result = RunResult(0.9, 0.8, 2, loss_curve=[0.5, 0.25], val_curve=[0.7, 0.9])
+    result = RunResult(0.9, 0.8, 2, "epoch_cap", loss_curve=[0.5, 0.25], val_curve=[0.7, 0.9])
     lines = run_log_lines(result)
     assert lines == ["1\t0.500000\t0.700000", "2\t0.250000\t0.900000"]
