@@ -98,7 +98,7 @@ _DATASET_KEYS = {"planetoid": {"kind", "dir", "name"}, "synthetic": {"kind", *_S
 _SPLIT_CASTS = {"per_class": _to_int, "n_val": _to_int, "n_test": _to_int, "seed": _optional_int}
 _SPLIT_KEYS = {"protocol", *_SPLIT_CASTS}
 _ENCODER_CASTS = {"vocab_size": _optional_int, "batch_size": _to_int, "max_in_flight": _to_int,
-                  "timeout": float}
+                  "retry_base_delay": float, "timeout": float}
 _TRAIN_CASTS = {"epochs": _to_int, "patience": _to_int, "seeds": _seed_list}
 _MODEL_CASTS = {"layers": _to_int, "hidden": _to_int, "heads": _to_int, "dropout": float}
 _OUTPUT_KEYS = {"dir", "format"}

@@ -52,8 +52,8 @@ class EncoderSpec:
     * file: ``path`` to an EMB1 file
     * remote: ``endpoint``, ``model``; ``cache_dir`` defaults to
       $TAGFORGE_CACHE; ``batch_size``, ``max_in_flight``,
-      ``retry_base_delay`` and ``timeout`` (seconds per request, > 0)
-      tune the client.
+      ``retry_base_delay`` (seconds before the first retry, >= 0) and
+      ``timeout`` (seconds per request, > 0) tune the client.
     """
 
     name: str
@@ -75,6 +75,9 @@ class EncoderSpec:
             raise ValueError("encoder needs a name")
         if not 0 < self.timeout < float("inf"):
             raise ValueError(f"timeout must be a positive number of seconds, got {self.timeout!r}")
+        if not 0 <= self.retry_base_delay < float("inf"):
+            raise ValueError(f"retry_base_delay must be >= 0 seconds, "
+                             f"got {self.retry_base_delay!r}")
         if self.kind == "tfidf" and (self.vocab_size is None or self.vocab_size < 1):
             raise ValueError(f"tfidf encoder {self.name!r} requires a positive vocab_size")
         if self.kind == "file" and not self.path:

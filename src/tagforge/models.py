@@ -357,6 +357,7 @@ def forward_backward(
     context: PropagationContext | None = None,
     training: bool = False,
     rng: SplitMix64 | None = None,
+    layer0: list | None = None,
 ):
     """Full forward pass; returns (logits, backward).
 
@@ -366,6 +367,12 @@ def forward_backward(
     accumulates parameter gradients and returns None: the features are not
     trained, so layer 0 runs with ``input_grad=False`` and skips the
     gradient at its input.
+
+    ``layer0`` hands layer 0's ``(out, backward)`` pair from an evaluation
+    forward, which appends it, to the next training forward, which pops it
+    instead of calling layer 0. Layers do not read ``training`` and dropout
+    acts after layer 0, so the pair equals a fresh call while parameters
+    and features stay unchanged; ``train.train`` guarantees that.
     """
     spec = model.spec
     arch = ARCH_TABLE[spec.arch]
@@ -382,7 +389,12 @@ def forward_backward(
 
     tape = []
     for layer, (params, heads) in enumerate(model.layers):
-        h, back = arch.call(h, context, params, heads)
+        if layer == 0 and training and layer0:
+            h, back = layer0.pop()
+        else:
+            h, back = arch.call(h, context, params, heads)
+            if layer == 0 and not training and layer0 is not None:
+                layer0.append((h, back))
         tape.append(back)
         if layer < spec.layers - 1:
             h, relu_back = relu(h)
@@ -406,9 +418,10 @@ def forward(
     context: PropagationContext | None = None,
     training: bool = False,
     rng: SplitMix64 | None = None,
+    layer0: list | None = None,
 ) -> np.ndarray:
     """Logits only; see forward_backward."""
-    return forward_backward(model, dataset, context, training, rng)[0]
+    return forward_backward(model, dataset, context, training, rng, layer0)[0]
 
 
 _MAGIC = b"TAGM"

@@ -2,13 +2,16 @@
 
 Protocol per run: every epoch does a training-mode forward, cross-entropy
 on the train mask, a full backward pass, one Adam step, then a validation
-accuracy check. Training stops after ``patience`` consecutive epochs
-without a new best validation accuracy, or at the epoch cap; the run's
-``stop_reason`` says which (``"patience"`` or ``"epoch_cap"``). The reported
-test accuracy always belongs to the best-validation parameter snapshot,
-which is restored into the model before returning. A non-finite training
-loss or gradient ends the run with a ``FloatingPointError`` naming the
-epoch (and, for a gradient, the first bad parameter).
+accuracy check. That validation forward hands its layer-0 output and
+backward to the next epoch's training forward, so layer 0 runs once per
+epoch; nothing changes between the two calls, so results are bit-identical.
+Training stops after ``patience`` consecutive epochs without a new best
+validation accuracy, or at the epoch cap; the run's ``stop_reason`` says
+which (``"patience"`` or ``"epoch_cap"``). The reported test accuracy
+always belongs to the best-validation parameter snapshot, which is
+restored into the model before returning. A non-finite training loss or
+gradient ends the run with a ``FloatingPointError`` naming the epoch (and,
+for a gradient, the first bad parameter).
 
 Weight decay is coupled (added to the gradient before the moment updates),
 matching common GNN framework defaults. Early stopping monitors validation
@@ -89,15 +92,17 @@ def evaluate(
     dataset: Dataset,
     mask: np.ndarray,
     context: PropagationContext | None = None,
+    layer0: list | None = None,
 ) -> float:
     """Fraction of masked nodes whose argmax logit matches the label.
 
-    Argmax ties resolve to the lowest class id.
+    Argmax ties resolve to the lowest class id. A ``layer0`` list receives
+    the forward's layer-0 pair (see ``models.forward_backward``).
     """
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("evaluate over an empty mask")
-    logits = forward(model, dataset, context)
+    logits = forward(model, dataset, context, layer0=layer0)
     predictions = np.argmax(logits[mask], axis=1)
     return float(np.mean(predictions == dataset.labels[mask]))
 
@@ -146,16 +151,17 @@ def train(
     vals: list[float] = []
     epochs_ran = 0
     stop_reason = "epoch_cap"
+    layer0: list = []  # layer 0's pair, from each validation forward to the next training one
 
     for epoch in range(1, spec.epochs + 1):
         epochs_ran = epoch
-        logits, backward = forward_backward(model, dataset, context, training=True, rng=rng)
+        logits, backward = forward_backward(model, dataset, context, True, rng, layer0)
         loss, d_logits = cross_entropy(logits, dataset.labels, split.train)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss {loss} at epoch {epoch}")
         backward(d_logits)
         adam_step(model.parameters, state, spec)
-        val_acc = evaluate(model, dataset, split.val, context)
+        val_acc = evaluate(model, dataset, split.val, context, layer0)
         losses.append(loss)
         vals.append(val_acc)
         if val_acc > best_val:

@@ -127,6 +127,9 @@ def test_config_invalid_json(tmp_path):
         ({"dataset": "cora"}, "dataset block: expected an object"),
         *(({"encoders": [_remote_encoder(timeout=bad)]}, "encoder entry.*timeout(:| must)")
           for bad in (0, -1.5, "soon", None, [30], float("nan"), float("inf"))),
+        *(({"encoders": [_remote_encoder(retry_base_delay=bad)]},
+           "encoder entry.*retry_base_delay(:| must)")
+          for bad in (-1, "soon", None, float("nan"), float("inf"))),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, overrides, message):
@@ -158,6 +161,18 @@ def test_config_encoder_timeout_defaults_and_loads(tmp_path):
         tmp_path, encoders=[_remote_encoder(), _remote_encoder(name="fast", timeout="2.5")]
     ))
     assert [e.timeout for e in cfg.encoders] == [30.0, 2.5]
+
+
+def test_config_encoder_retry_base_delay_loads_and_bad_exits_2_at_prepare(tmp_path, capsys):
+    cfg = load_config(_write_config(tmp_path, encoders=[
+        _remote_encoder(), _remote_encoder(name="now", retry_base_delay=0),
+        _remote_encoder(name="slow", retry_base_delay="2.5"),
+    ]))
+    assert [e.retry_base_delay for e in cfg.encoders] == [0.5, 0.0, 2.5]
+    # refused at load, before any request to the (dead) endpoint
+    config = _write_config(tmp_path, encoders=[_remote_encoder(retry_base_delay=-1)])
+    assert main(["prepare", "--config", config]) == 2
+    assert "retry_base_delay" in capsys.readouterr().err
 
 
 def test_config_duplicate_encoder_names(tmp_path):

@@ -1,15 +1,26 @@
 """Optimizer math, the training protocol, evaluation, aggregation."""
 
+import dataclasses
 import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
+from tagforge import models
 from tagforge.data import Dataset, SplitMask, generate_synthetic, split_high
 from tagforge.graph import from_edge_list
-from tagforge.models import ModelSpec, build_context, init_parameters
-from tagforge.nn import Parameter
+from tagforge.models import (
+    ARCH_TABLE,
+    ARCHITECTURES,
+    ModelSpec,
+    build_context,
+    forward_backward,
+    init_parameters,
+)
+from tagforge.nn import Parameter, cross_entropy
+from tagforge.rng import SplitMix64
 from tagforge.train import (
     AdamState,
     RunResult,
@@ -250,6 +261,124 @@ def test_train_rejects_bad_split():
     bad = SplitMask(np.array([0, 1]), np.array([1, 2]), np.array([3]))
     with pytest.raises(ValueError):
         train(init_parameters(ModelSpec("mlp", in_dim=8, num_classes=2), 0), ds, bad, TrainSpec())
+
+
+# ---------------------------------------------------------------------------
+# layer-0 handoff and the per-epoch call shape
+
+LAYER_FUNCTIONS = {"gcn": "gcn_layer", "graph_transformer": "graph_transformer_layer",
+                   "mlp": "mlp_layer"}
+
+
+def _handoff_case(arch, sparse):
+    """A 3-class graph whose validation accuracy moves for many epochs, so
+    the best snapshot is not epoch 1's; ``sparse`` keeps ~30% of the
+    features as a CSR matrix."""
+    ds = generate_synthetic(80, 3, p_in=0.2, p_out=0.05, dim=8, sep=0.7, seed=3)
+    if sparse:
+        keep = SplitMix64(5).random(ds.features.shape) < 0.3
+        ds = dataclasses.replace(ds, features=csr_array(ds.features * keep))
+    spec = ModelSpec(arch, in_dim=8, num_classes=3, layers=3, hidden=8, heads=2)
+    return ds, split_high(80, seed=0), spec, TrainSpec(epochs=12, patience=12)
+
+
+def _reference_train(model, ds, split, tspec, seed):
+    """``train``'s protocol with layer 0 called in every forward, for a run
+    that reaches the epoch cap: loss curve, validation curve, test accuracy."""
+    context = build_context(ds.graph) if ARCH_TABLE[model.spec.arch].needs_context else None
+    rng = SplitMix64(seed).split()
+    state = AdamState(model.parameters)
+    losses, vals, best_val, best_params = [], [], -1.0, model.snapshot()
+    for _ in range(tspec.epochs):
+        logits, backward = forward_backward(model, ds, context, training=True, rng=rng)
+        loss, d_logits = cross_entropy(logits, ds.labels, split.train)
+        backward(d_logits)
+        adam_step(model.parameters, state, tspec)
+        val_acc = evaluate(model, ds, split.val, context)
+        losses.append(loss)
+        vals.append(val_acc)
+        if val_acc > best_val:
+            best_val, best_params = val_acc, model.snapshot()
+    model.restore(best_params)
+    return losses, vals, evaluate(model, ds, split.test, context)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_layer0_handoff_is_bit_identical_to_calling_layer0_every_forward(arch, sparse):
+    ds, split, spec, tspec = _handoff_case(arch, sparse)
+    model, reference = init_parameters(spec, 7), init_parameters(spec, 7)
+    result = train(model, ds, split, tspec, seed=7)
+    losses, vals, test_acc = _reference_train(reference, ds, split, tspec, seed=7)
+    assert result.stop_reason == "epoch_cap"
+    assert np.array_equal(result.loss_curve, losses)
+    assert np.array_equal(result.val_curve, vals)
+    assert result.test_acc_at_best_val == test_acc
+    for name, p in model.parameters.items():
+        assert np.array_equal(p.value, reference.parameters[name].value), name
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_train_calls_layer0_once_per_epoch_and_uses_each_pair_once(monkeypatch, arch, sparse):
+    ds, split, spec, tspec = _handoff_case(arch, sparse)
+    name = LAYER_FUNCTIONS[arch]
+    layer = getattr(models, name)
+    calls, backward_calls = [], []
+
+    def counted(h, *args):
+        out, back = layer(h, *args)
+        if h is not ds.features:
+            return out, back
+        call = len(calls)
+        calls.append(call)
+
+        def counted_back(d_out, input_grad=True):
+            backward_calls.append(call)
+            return back(d_out, input_grad)
+
+        return out, counted_back
+
+    monkeypatch.setattr(models, name, counted)  # ARCH_TABLE looks the layer up per call
+    result = train(init_parameters(spec, 7), ds, split, tspec, seed=7)
+    epochs = result.epochs_ran
+    assert epochs == tspec.epochs
+    # epoch 1's training forward, one validation forward per epoch, the test
+    # evaluate: N + 2 calls, where calling layer 0 in every forward makes 2N + 1
+    assert len(calls) == epochs + 2
+    # epoch 1 back-propagates its own call (0); epoch t > 1 the pair of
+    # epoch t - 1's validation forward (call t - 1), each exactly once
+    assert backward_calls == list(range(epochs))
+
+
+@pytest.mark.parametrize("tspec,stop_reason", [
+    (TrainSpec(patience=1), "patience"),
+    (TrainSpec(epochs=3, patience=5), "epoch_cap"),
+])
+def test_each_epoch_starts_with_forward_backward_and_ends_with_evaluate(
+    monkeypatch, tspec, stop_reason
+):
+    """perfbench's epoch timer starts an epoch at each ``train.forward_backward``
+    call and its tracer times ``train.evaluate``: per epoch, one
+    forward_backward first and one evaluate last, plus the test evaluate."""
+    module = importlib.import_module("tagforge.train")
+    log = []
+
+    def logged(attr, fn):
+        def wrapper(*args, **kwargs):
+            log.append(attr)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for attr in ("forward_backward", "cross_entropy", "adam_step", "evaluate"):
+        monkeypatch.setattr(module, attr, logged(attr, getattr(module, attr)))
+    result = _train_constant_val(tspec)
+    assert result.stop_reason == stop_reason
+    assert log.count("forward_backward") == result.epochs_ran
+    assert log.count("evaluate") == result.epochs_ran + 1
+    epoch = ["forward_backward", "cross_entropy", "adam_step", "evaluate"]
+    assert log == epoch * result.epochs_ran + ["evaluate"]
 
 
 # ---------------------------------------------------------------------------
