@@ -27,6 +27,13 @@ from .models import ARCHITECTURES
 from .train import run_log_lines
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tagforge",
@@ -58,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="re-prepare features before running")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every backward rule")
-    p_grad.add_argument("--seeds", type=int, default=5, help="seeds per op (default 5)")
+    p_grad.add_argument("--seeds", type=_positive_int, default=5,
+                        help="seeds per op (default 5)")
     return parser
 
 

@@ -169,6 +169,9 @@ class GradCheckResult:
 
 def run_gradcheck(seeds=range(5), checks: dict | None = None) -> list[GradCheckResult]:
     """Run every registered check over all seeds; one result per op."""
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("run_gradcheck needs at least one seed")
     table = CHECKS if checks is None else checks
     results = []
     for name, check in table.items():

@@ -152,9 +152,9 @@ def segment_max(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def spmm(adj: csr_array, h: np.ndarray) -> np.ndarray:
     """Row-aggregation kernel: out[i] = sum_j adj[i, j] * h[j].
 
-    ``adj`` is a square ``csr_array``; each row sums its entries in CSR
-    storage order, so the result is bit-identical across calls for the
-    same inputs.
+    ``adj`` is a square ``csr_array`` or its ``.T`` (CSC) view; each output
+    row sums its entries in storage order, so the result is bit-identical
+    across calls for the same inputs.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != adj.shape[1]:

@@ -107,15 +107,12 @@ class HeadIndex:
     the adjacency's entry order, so one ``spmm`` over an (n*H, d_head)
     operand aggregates every head at once and each row sums in the same
     order as a per-head product. ``flat`` gathers an (E, H) per-entry
-    weight array, flattened, into this layout; ``flat_t`` gathers entry
-    ``tperm[e]`` instead, which gives the transposed weighted matrix.
+    weight array, flattened, into this layout.
     """
 
-    num_rows: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
     flat: np.ndarray
-    flat_t: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,21 +122,11 @@ class PropagationContext:
     ``adj`` is the normalized self-looped adjacency D^{-1/2}(A+I)D^{-1/2}
     (``normalize_adjacency``): GCN aggregates with it, and the graph
     transformer attends over its pattern, N(i) ∪ {i}, reading its
-    ``indptr`` and ``indices``. ``degrees`` counts each row's entries, so
-    ``np.repeat(x, degrees, axis=0)`` expands per-node rows to per-entry
-    rows; ``rows`` holds each entry's row, ``np.repeat(arange(n), degrees)``,
-    so per-node rows can be gathered for any block of entries. ``tperm``
-    reorders entries into transpose (column-major) order: the pattern is
-    symmetric, so per-entry weights reordered by ``tperm`` on the same
-    offsets and columns form the transposed weighted matrix.
-    ``head_index(heads)`` is built on first use and kept here, so it lives
-    as long as the context.
+    ``indptr`` and ``indices``. ``head_index(heads)`` is built on first
+    use and kept here, so it lives as long as the context.
     """
 
     adj: csr_array
-    degrees: np.ndarray
-    rows: np.ndarray
-    tperm: np.ndarray
     _head_indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def head_index(self, heads: int) -> HeadIndex:
@@ -150,28 +137,18 @@ class PropagationContext:
 
 
 def build_context(g: Graph) -> PropagationContext:
-    adj = normalize_adjacency(g)
-    degrees = np.diff(adj.indptr)
-    rows = np.repeat(np.arange(adj.shape[0]), degrees)
-    return PropagationContext(adj, degrees, rows, np.lexsort((rows, adj.indices)))
+    return PropagationContext(normalize_adjacency(g))
 
 
 def build_head_index(context: PropagationContext, heads: int) -> HeadIndex:
     """The (node, head) CSR of ``context.adj``'s pattern; see HeadIndex."""
-    num_rows = context.adj.shape[0] * heads
-    row_degrees = np.repeat(context.degrees, heads)
-    offsets = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(row_degrees, out=offsets[1:])
-    row = np.repeat(np.arange(num_rows), row_degrees)
-    head = row % heads
-    entry = np.arange(offsets[-1]) - offsets[row] + context.adj.indptr[row // heads]
-    return HeadIndex(
-        num_rows,
-        offsets,
-        context.adj.indices[entry].astype(np.int64) * heads + head,
-        entry * heads + head,
-        context.tperm[entry] * heads + head,
-    )
+    adj, head = context.adj, np.arange(heads)
+    rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+    # (E, H) entries, flattened, stably sorted by their (node, head) row
+    flat = np.argsort((rows[:, None] * heads + head).ravel(), kind="stable")
+    columns = (adj.indices[:, None].astype(np.int64) * heads + head).ravel()[flat]
+    offsets = np.concatenate([[0], np.cumsum(np.repeat(np.diff(adj.indptr), heads))])
+    return HeadIndex(offsets, columns, flat)
 
 
 def glorot_uniform(rng: SplitMix64, fan_in: int, fan_out: int) -> np.ndarray:
@@ -211,8 +188,8 @@ def gcn_layer(h: np.ndarray, adj: csr_array, W: Parameter, b: Parameter):
 
     Computed as spmm(adj, h @ W) + b: the aggregation is linear, so the
     transform commutes with it, and aggregating the narrower matrix is far
-    cheaper when in_dim >> out_dim. Backward uses the adjacency's symmetry
-    (undirected graphs only) to propagate gradients with the same kernel.
+    cheaper when in_dim >> out_dim. Backward propagates gradients through
+    the transpose view, spmm(adj.T, d_agg).
     """
     z, mm_back = matmul(h, W.value)
     agg = spmm(adj, z)
@@ -220,7 +197,7 @@ def gcn_layer(h: np.ndarray, adj: csr_array, W: Parameter, b: Parameter):
 
     def backward(d_out, input_grad: bool = True):
         d_agg, d_b = bias_back(d_out)
-        d_z = spmm(adj, d_agg)
+        d_z = spmm(adj.T, d_agg)
         d_h, d_W = mm_back(d_z, input_grad)
         W.add_grad(d_W)
         b.add_grad(d_b)
@@ -247,10 +224,11 @@ def graph_transformer_layer(
     concatenated and a learned skip transform W_S h + b is added. The
     neighborhoods are the rows of ``context.adj``'s pattern (its weights
     are not read). Every aggregation is one ``spmm`` over the context's
-    (node, head) CSR (see HeadIndex), and the backward's transposed
-    products gather their weights through ``flat_t``. The per-entry dot
-    products (scores, ``d_alpha``) run one ``_BLOCK_BYTES`` block of
-    entries at a time, each entry still one einsum over its d_head values.
+    (node, head) CSR (see HeadIndex); the backward's transposed products
+    multiply by that CSR's ``.T`` view, so the pattern need not be
+    symmetric. The per-entry dot products (scores, ``d_alpha``) run one
+    ``_BLOCK_BYTES`` block of entries at a time, each entry still one
+    einsum over its d_head values.
     """
     n = context.adj.shape[0]
     if h.shape[0] != n:
@@ -260,18 +238,22 @@ def graph_transformer_layer(
         raise ValueError(f"attention width {width} not divisible by heads {heads}")
     d_head = width // heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
-    cols, offsets, degrees = context.adj.indices, context.adj.indptr, context.degrees
+    cols, offsets = context.adj.indices, context.adj.indptr
+    degrees = np.diff(offsets)
     index = context.head_index(heads)
-    shape = (index.num_rows, index.num_rows)
 
     q = (h @ params["W_Q"].value).reshape(n, heads, d_head)
     k = (h @ params["W_K"].value).reshape(n, heads, d_head)
     v = (h @ params["W_V"].value).reshape(n, heads, d_head)
 
-    def aggregate(weights, x, flat):
-        """(n, width): the (E, H) ``weights`` gathered by ``flat`` times every head of x."""
-        adj = csr_array((weights.reshape(-1)[flat], index.col_indices, index.row_offsets), shape)
-        return spmm(adj, x.reshape(index.num_rows, d_head)).reshape(n, width)
+    def head_csr(weights):
+        """The (node, head) CSR holding the (E, H) per-entry ``weights``."""
+        data = weights.reshape(-1)[index.flat]
+        return csr_array((data, index.col_indices, index.row_offsets), (n * heads, n * heads))
+
+    def aggregate(m, x):
+        """(n, width): the (node, head) matrix ``m`` times every head of x."""
+        return spmm(m, x.reshape(n * heads, d_head)).reshape(n, width)
 
     def per_entry(x):
         """Per-node rows repeated once per entry of their row (rows are sorted)."""
@@ -281,10 +263,11 @@ def graph_transformer_layer(
 
     def entry_dots(a, b):
         """(E, H): the dot product over d_head of a[rows[e]] and b[cols[e]]."""
+        rows = np.repeat(np.arange(n), degrees)  # per call, so no backward closure keeps it
         dots = np.empty((cols.shape[0], heads))
         for start in range(0, cols.shape[0], block):
             e = slice(start, start + block)
-            np.einsum("ehd,ehd->eh", a[context.rows[e]], b[cols[e]], out=dots[e])
+            np.einsum("ehd,ehd->eh", a[rows[e]], b[cols[e]], out=dots[e])
         return dots
 
     scores = entry_dots(q, k) * inv_sqrt
@@ -292,7 +275,7 @@ def graph_transformer_layer(
     exps = np.exp(shifted)
     alpha = exps / per_entry(segment_sum(exps, offsets))
 
-    out = aggregate(alpha, v, index.flat) + h @ params["W_S"].value + params["b"].value
+    out = aggregate(head_csr(alpha), v) + h @ params["W_S"].value + params["b"].value
 
     def backward(d_out, input_grad: bool = True):
         params["b"].add_grad(d_out.sum(axis=0, keepdims=True))
@@ -301,13 +284,13 @@ def graph_transformer_layer(
 
         d_msg = d_out.reshape(n, heads, d_head)
         d_alpha = entry_dots(d_msg, v)
-        d_v = aggregate(alpha, d_msg, index.flat_t)
+        d_v = aggregate(head_csr(alpha).T, d_msg)  # rebuilt: keeping it put a copy on every tape
 
         # softmax backward per neighborhood segment
         inner = segment_sum(alpha * d_alpha, offsets)
-        d_scores = alpha * (d_alpha - per_entry(inner)) * inv_sqrt
-        d_q = aggregate(d_scores, k, index.flat)
-        d_k = aggregate(d_scores, q, index.flat_t)
+        d_scores = head_csr(alpha * (d_alpha - per_entry(inner)) * inv_sqrt)
+        d_q = aggregate(d_scores, k)
+        d_k = aggregate(d_scores.T, q)
 
         for short, d_proj in (("W_Q", d_q), ("W_K", d_k), ("W_V", d_v)):
             params[short].add_grad(h.T @ d_proj)
@@ -461,7 +444,11 @@ def load_checkpoint(path: str) -> Model:
     if version != _VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
     (spec_len,) = struct.unpack("<Q", take(8, "spec length"))
-    spec = ModelSpec(**json.loads(bytes(take(spec_len, "spec"))))
+    spec_blob = bytes(take(spec_len, "spec"))
+    try:
+        spec = ModelSpec(**json.loads(spec_blob))
+    except (TypeError, ValueError) as exc:  # not UTF-8 JSON, not an object, or a bad field
+        raise CheckpointFormatError(f"{path}: bad spec: {exc}") from exc
     (count,) = struct.unpack("<Q", take(8, "parameter count"))
     params: dict[str, Parameter] = {}
     for _ in range(count):

@@ -86,18 +86,29 @@ def reference_spmm(adj, h: np.ndarray) -> np.ndarray:
     return reference_segment_sum(adj.data[:, None] * h[adj.indices], adj.indptr)
 
 
+def transpose_order(adj) -> np.ndarray:
+    """``adj``'s entries sorted by (column, row), built without ``.T``.
+
+    On a symmetric pattern, per-entry weights reordered by it, on the same
+    offsets and columns, form the transposed weighted matrix.
+    """
+    rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+    return np.lexsort((rows, adj.indices))
+
+
 def reference_gt_layer(h, context, params, heads):
     """The graph-transformer layer with one ``spmm`` per head and a concatenate.
 
     The per-head oracle of ``graph_transformer_layer``: per-entry rows come
     from fancy-indexing by each entry's row, and every transposed product
-    reorders its weights by ``tperm``. Returns (out, backward) like the
-    layer, with ``backward(d_out)`` returning d_h.
+    reorders its weights by ``transpose_order`` (so the pattern must be
+    symmetric). Returns (out, backward) like the layer, with
+    ``backward(d_out)`` returning d_h.
     """
     n, width = context.adj.shape[0], params["W_Q"].shape[1]
     d_head = width // heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
-    cols, offsets, tperm = context.adj.indices, context.adj.indptr, context.tperm
+    cols, offsets, tperm = context.adj.indices, context.adj.indptr, transpose_order(context.adj)
     rows = np.repeat(np.arange(n), np.diff(offsets))
 
     q = (h @ params["W_Q"].value).reshape(n, heads, d_head)

@@ -535,6 +535,19 @@ def test_cli_gradcheck_pass_lists_each_op_once(capsys):
     assert {"matmul", "gcn_layer", "graph_transformer_layer"} <= set(ops)
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_cli_gradcheck_refuses_no_seeds_at_parse(capsys, seeds):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--seeds", seeds])
+    assert exc.value.code == 2
+    assert "--seeds: must be at least 1" in capsys.readouterr().err
+
+
+def test_run_gradcheck_refuses_empty_seeds():
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_gradcheck(seeds=range(0))
+
+
 def test_gradcheck_flags_sabotaged_backward():
     def broken_backward_check(seed):
         return 0.5  # pretend some op disagrees with finite differences

@@ -3,6 +3,7 @@ equivariances, initialization statistics, checkpoint container.
 """
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from conftest import (
     dense_normalized_adjacency,
     random_graph,
     reference_gt_layer,
+    transpose_order,
 )
 from tagforge.data import Dataset, generate_synthetic, split_high
+from tagforge.gradcheck import numeric_grad, rel_error
 from tagforge.graph import Graph, from_edge_list, normalize_adjacency, spmm
 from tagforge.models import (
     ARCHITECTURES,
@@ -192,6 +195,23 @@ def test_gcn_layer_matches_dense_oracle(seed):
     out, _ = gcn_layer(h, adj, W, b)
     dense = dense_normalized_adjacency(g) @ h @ W.value + b.value
     assert np.abs(out - dense).max() < 1e-10
+
+
+def test_gcn_backward_follows_an_asymmetric_adjacency():
+    rng = SplitMix64(5)
+    adj = csr_array(np.triu(rng.normal((5, 5))))  # weight(i, j) != weight(j, i)
+    h = rng.normal((5, 3))
+    W = Parameter(rng.normal((3, 2)), "W")
+    b = Parameter(rng.normal((1, 2)), "b")
+    weights = rng.normal((5, 2))
+
+    def loss():
+        return float((gcn_layer(h, adj, W, b)[0] * weights).sum())
+
+    _, backward = gcn_layer(h, adj, W, b)
+    assert rel_error(backward(weights), numeric_grad(loss, h)) < 1e-8
+    for p in (W, b):
+        assert rel_error(p.grad, numeric_grad(loss, p.value)) < 1e-8, p.name
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +390,10 @@ def test_tperm_reordered_weights_give_transposed_product():
     rng = np.random.default_rng(5)
     weights = rng.normal(size=indices.size)  # weight(i, j) != weight(j, i)
     dense = np.zeros((n, n))
-    dense[np.repeat(np.arange(n), context.degrees), indices] = weights
+    dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = weights
     assert not np.allclose(dense, dense.T)
     x = rng.normal(size=(n, 3))
-    transposed = csr_array((weights[context.tperm], indices, indptr), shape=(n, n))
+    transposed = csr_array((weights[transpose_order(context.adj)], indices, indptr), shape=(n, n))
     np.testing.assert_allclose(spmm(transposed, x), dense.T @ x, rtol=0, atol=1e-12)
 
 
@@ -430,7 +450,6 @@ def test_gt_layer_blocks_of_entries_are_bit_identical(monkeypatch, block, heads)
     )
     context = build_context(graph)
     assert context.adj.indices.size == 29
-    assert np.array_equal(context.rows, np.repeat(np.arange(11), context.degrees))
     d_head = 2
     monkeypatch.setattr(models, "_BLOCK_BYTES", block * heads * d_head * 8)
     _assert_gt_layer_matches_reference(graph, heads, d_head, 3, seed=block * 10 + heads)
@@ -468,7 +487,6 @@ def test_build_context_adds_self_loops_once(monkeypatch):
     context = build_context(graph)
     assert calls == [graph]
     assert context.adj.shape == (10, 10)
-    assert np.array_equal(context.degrees, np.diff(context.adj.indptr))
 
 
 def test_gt_layer_reads_the_adjacency_pattern_of_its_context():
@@ -481,15 +499,24 @@ def test_gt_layer_reads_the_adjacency_pattern_of_its_context():
     params = _gt_params(rng, 3, 4)
     h = rng.normal((3, 3))
     pattern = Graph(3, context.adj.indptr, context.adj.indices)
-    out, _ = graph_transformer_layer(h, context, params, heads=2)
+    out, backward = graph_transformer_layer(h, context, params, heads=2)
     expected, _ = dense_gt_attention(h, pattern, params, heads=2)
     assert np.abs(out - expected).max() < 1e-12
+
+    # the pattern is now asymmetric, so the backward's transposed products
+    # must follow it too
+    weights = rng.normal((3, 4))
+
+    def loss():
+        return float((graph_transformer_layer(h, context, params, heads=2)[0] * weights).sum())
+
+    assert rel_error(backward(weights), numeric_grad(loss, h)) < 1e-8
+    for short, p in params.items():
+        assert rel_error(p.grad, numeric_grad(loss, p.value)) < 1e-8, short
 
 
 def test_gt_backward_handles_isolated_nodes():
     # node 3 has only its self-loop; finite differences must still agree
-    from tagforge.gradcheck import numeric_grad, rel_error
-
     context = build_context(from_edge_list(4, [(0, 1), (1, 2)]))
     rng = SplitMix64(21)
     params = _gt_params(rng, 3, 4)
@@ -583,6 +610,25 @@ def test_checkpoint_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-5])
     with pytest.raises(CheckpointFormatError):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "spec_blob",
+    [
+        b"{not json",
+        b'{"arch": "caf\xe9"}',  # not UTF-8
+        b"[1, 2]",
+        b'{"arch": "mlp", "in_dim": 3, "num_classes": 2, "colour": 1}',
+        b'{"arch": "resnet", "in_dim": 3, "num_classes": 2}',
+        b'{"arch": "mlp", "in_dim": "3", "num_classes": 2}',
+    ],
+    ids=["not-json", "not-utf8", "not-object", "unknown-key", "bad-arch", "bad-type"],
+)
+def test_checkpoint_bad_spec_is_a_format_error(tmp_path, spec_blob):
+    path = tmp_path / "model.tagm"
+    path.write_bytes(b"TAGM" + struct.pack("<IQ", 1, len(spec_blob)) + spec_blob)
+    with pytest.raises(CheckpointFormatError, match="model.tagm: bad spec"):
         load_checkpoint(str(path))
 
 
