@@ -34,8 +34,8 @@ def main() -> int:
         n=2708, num_classes=7, p_in=0.00827, p_out=0.000344,
         dim=32, sep=args.sep, seed=0,
     )
-    degrees = ds.graph.num_edges / ds.num_nodes
-    print(f"dataset: {ds.num_nodes} nodes, {ds.graph.num_edges // 2} undirected edges "
+    degrees = ds.graph.nnz / ds.num_nodes
+    print(f"dataset: {ds.num_nodes} nodes, {ds.graph.nnz // 2} undirected edges "
           f"(avg degree {degrees:.1f})")
 
     tspec = TrainSpec(seeds=tuple(range(args.seeds)))

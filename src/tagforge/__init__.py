@@ -22,11 +22,9 @@ from .features import (
     tfidf,
 )
 from .graph import (
-    Graph,
     from_edge_list,
     normalize_adjacency,
     spmm,
-    validate_graph,
 )
 from .models import (
     Model,
@@ -62,7 +60,6 @@ __all__ = [
     "AdamState",
     "Dataset",
     "EncoderSpec",
-    "Graph",
     "Model",
     "ModelSpec",
     "Parameter",
@@ -95,5 +92,4 @@ __all__ = [
     "spmm",
     "tfidf",
     "train",
-    "validate_graph",
 ]

@@ -23,12 +23,14 @@ A benchmark is described by one JSON config file:
 ```
 
 Every block accepts only the keys shown above (``model`` defaults come
-from ``ModelSpec``). ``load_config`` coerces every numeric value of the
-synthetic ``dataset``, the encoders, ``split``, ``train``, ``model`` and
-``workers`` (an integer field refuses a number with a fractional part)
-and builds one ``ModelSpec`` per arch, so an unknown key at any level, a
-value of the wrong type, ``hidden`` not divisible by ``heads`` or empty
-``seeds`` is a ``ConfigError``. ``load_features`` and ``run_seed`` are
+from ``ModelSpec``, synthetic ``dataset`` defaults from
+``generate_synthetic``, ``split`` defaults from ``split_low``).
+``load_config`` checks each block against one key table that casts its
+numeric values (an integer field refuses a number with a fractional part)
+and refuses a path or name that is not a string, and builds one
+``ModelSpec`` per arch, so an unknown key at any level, a value of the
+wrong type, ``hidden`` not divisible by ``heads`` or empty ``seeds`` is a
+``ConfigError``. ``load_features`` and ``run_seed`` are
 the one path from a config to a trained run; ``run_cell`` and ``tagforge
 train`` both go through them. Sparse feature matrices (TF-IDF,
 bag-of-words) stay CSR.
@@ -72,7 +74,6 @@ TABLE_FORMATS = ("markdown", "latex", "csv")
 _FORMAT_ALIASES = {"md": "markdown", "tex": "latex", "markdown": "markdown",
                    "latex": "latex", "csv": "csv"}
 _FORMAT_SUFFIX = {"markdown": "md", "latex": "tex", "csv": "csv"}
-_TOP_KEYS = {"dataset", "encoders", "archs", "split", "train", "model", "output", "workers"}
 
 
 def _to_int(value) -> int:
@@ -92,16 +93,30 @@ def _seed_list(value) -> tuple[int, ...]:
     return tuple(_to_int(seed) for seed in value)
 
 
-_SYNTHETIC_CASTS = {"n": _to_int, "classes": _to_int, "p_in": float, "p_out": float,
-                    "dim": _to_int, "sep": float, "seed": _to_int}
-_DATASET_KEYS = {"planetoid": {"kind", "dir", "name"}, "synthetic": {"kind", *_SYNTHETIC_CASTS}}
-_SPLIT_CASTS = {"per_class": _to_int, "n_val": _to_int, "n_test": _to_int, "seed": _optional_int}
-_SPLIT_KEYS = {"protocol", *_SPLIT_CASTS}
-_ENCODER_CASTS = {"vocab_size": _optional_int, "batch_size": _to_int, "max_in_flight": _to_int,
-                  "retry_base_delay": float, "timeout": float}
-_TRAIN_CASTS = {"epochs": _to_int, "patience": _to_int, "seeds": _seed_list}
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+# Each block's whole key table: key -> its cast, or None for a key kept as is.
+_TOP_CASTS = {"dataset": None, "encoders": None, "archs": None, "split": None, "train": None,
+              "model": None, "output": None, "workers": _to_int}
+_DATASET_CASTS = {
+    "planetoid": {"kind": None, "dir": _str, "name": _str},
+    "synthetic": {"kind": None, "n": _to_int, "classes": _to_int, "p_in": float, "p_out": float,
+                  "dim": _to_int, "sep": float, "seed": _to_int},
+}
+_DATASET_REQUIRED = {"planetoid": ("dir", "name"), "synthetic": ("n", "classes", "p_in", "p_out")}
+_SPLIT_CASTS = {"protocol": None, "per_class": _to_int, "n_val": _to_int, "n_test": _to_int,
+                "seed": _optional_int}
+_ENCODER_CASTS = {"name": _str, "kind": None, "vocab_size": _optional_int, "path": _str,
+                  "endpoint": _str, "model": _str, "batch_size": _to_int, "cache_dir": _str,
+                  "max_in_flight": _to_int, "retry_base_delay": float, "timeout": float}
+_TRAIN_CASTS = {"epochs": _to_int, "patience": _to_int, "lr": None, "weight_decay": None,
+                "seeds": _seed_list}
 _MODEL_CASTS = {"layers": _to_int, "hidden": _to_int, "heads": _to_int, "dropout": float}
-_OUTPUT_KEYS = {"dir", "format"}
+_OUTPUT_CASTS = {"dir": _str, "format": _str}
 # Feature matrices with at most this share of nonzero entries (TF-IDF and
 # bag-of-words, e.g. about 2% on Cora) are kept as CSR: the layer-0 products
 # ``X @ W`` and ``X.T @ d`` then cost O(nnz). Measured with a 2708 x 1433
@@ -137,25 +152,25 @@ def normalize_format(fmt: str) -> str:
     return _FORMAT_ALIASES[fmt]
 
 
-def _reject_unknown(path: str, where: str, block: dict, known: set[str]) -> None:
-    unknown = sorted(set(block) - known)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key {unknown[0]!r} in {where}")
-
-
 def _coerce(path: str, where: str, block, casts: dict) -> dict:
-    """A copy of the JSON object ``block`` with each key that ``casts`` names cast.
+    """A copy of the JSON object ``block`` with each value cast by its key's
+    entry in ``casts``, the block's whole key table (None: kept as is).
 
-    A non-object block or a value its cast rejects is a ConfigError.
+    A non-object block, a key the table lacks or a value its cast rejects
+    is a ConfigError.
     """
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: bad {where}: expected an object, got {block!r}")
+    unknown = sorted(set(block) - set(casts))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {unknown[0]!r} in {where}")
     block = dict(block)
     for key, cast in casts.items():
-        if key in block:
+        if key in block and cast is not None:
             try:
                 block[key] = cast(block[key])
             except (TypeError, ValueError) as exc:
+                where = where.removeprefix("the ")  # "bad top level: workers"
                 raise ConfigError(f"{path}: bad {where}: {key}: {exc}") from exc
     return block
 
@@ -175,12 +190,12 @@ def load_config(path: str) -> BenchConfig:
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
     try:
-        dataset = _coerce(path, "dataset block", blob["dataset"], {})
+        dataset = blob["dataset"]
         encoder_blobs = list(blob["encoders"])
         archs = list(blob["archs"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: missing required key: {exc}") from exc
-    _reject_unknown(path, "the top level", blob, _TOP_KEYS)
+    workers = _coerce(path, "the top level", blob, _TOP_CASTS).get("workers", 1)
     if not encoder_blobs or not archs:
         raise ConfigError(f"{path}: need at least one encoder and one arch")
     for arch in archs:
@@ -189,32 +204,27 @@ def load_config(path: str) -> BenchConfig:
     if len(set(archs)) != len(archs):
         raise ConfigError(f"{path}: duplicate archs")
 
-    kind = dataset.get("kind")
+    kind = dataset.get("kind") if isinstance(dataset, dict) else None
+    if not isinstance(kind, str) or kind not in _DATASET_CASTS:
+        raise ConfigError(f"{path}: bad dataset block: expected an object whose kind is "
+                          f"planetoid or synthetic, got {dataset!r}")
+    dataset = _coerce(path, f"{kind} dataset block", dataset, _DATASET_CASTS[kind])
+    for key in _DATASET_REQUIRED[kind]:
+        if key not in dataset:
+            raise ConfigError(f"{path}: {kind} dataset needs {key!r}")
     if kind == "planetoid":
-        if "dir" not in dataset or "name" not in dataset:
-            raise ConfigError(f"{path}: planetoid dataset needs 'dir' and 'name'")
         dataset["dir"] = resolve(dataset["dir"])
         stem = os.path.join(dataset["dir"], dataset["name"])
         for suffix in (".labels", ".edges"):
             if not os.path.exists(stem + suffix):
                 raise ConfigError(f"{path}: dataset file missing: {stem + suffix}")
-    elif kind == "synthetic":
-        for key in ("n", "classes", "p_in", "p_out"):
-            if key not in dataset:
-                raise ConfigError(f"{path}: synthetic dataset needs {key!r}")
-    else:
-        raise ConfigError(f"{path}: dataset kind must be planetoid or synthetic")
-    _reject_unknown(path, f"the {kind} dataset", dataset, _DATASET_KEYS[kind])
-    if kind == "synthetic":
-        dataset = _coerce(path, "synthetic dataset block", dataset, _SYNTHETIC_CASTS)
 
     encoders = []
     for enc in encoder_blobs:
         enc = _coerce(path, "encoder entry", enc, _ENCODER_CASTS)
-        if "path" in enc and enc["path"]:
-            enc["path"] = resolve(enc["path"])
-        if "cache_dir" in enc and enc["cache_dir"]:
-            enc["cache_dir"] = resolve(enc["cache_dir"])
+        for key in ("path", "cache_dir"):
+            if enc.get(key):
+                enc[key] = resolve(enc[key])
         try:
             spec = EncoderSpec(**enc)
         except (TypeError, ValueError) as exc:
@@ -227,7 +237,6 @@ def load_config(path: str) -> BenchConfig:
         raise ConfigError(f"{path}: duplicate encoder names")
 
     split = _coerce(path, "split block", blob.get("split", {"protocol": "high"}), _SPLIT_CASTS)
-    _reject_unknown(path, "split", split, _SPLIT_KEYS)
     if split.get("protocol") not in ("low", "high"):
         raise ConfigError(f"{path}: split.protocol must be 'low' or 'high'")
 
@@ -243,11 +252,9 @@ def load_config(path: str) -> BenchConfig:
             ModelSpec(arch, in_dim=1, num_classes=2, **model)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad model block: {exc}") from exc
-    output = _coerce(path, "output block", blob.get("output", {}), {})
-    _reject_unknown(path, "output", output, _OUTPUT_KEYS)
+    output = _coerce(path, "output block", blob.get("output", {}), _OUTPUT_CASTS)
     out_dir = resolve(output.get("dir", "bench_out"))
     table_format = normalize_format(output.get("format", "markdown"))
-    workers = _coerce(path, "top level", blob, {"workers": _to_int}).get("workers", 1)
     if workers < 1:
         raise ConfigError(f"{path}: workers must be >= 1")
     return BenchConfig(dataset, encoders, archs, split, trainspec, model, out_dir,
@@ -255,18 +262,11 @@ def load_config(path: str) -> BenchConfig:
 
 
 def load_bench_dataset(cfg: BenchConfig) -> Dataset:
-    ds = cfg.dataset
-    if ds["kind"] == "planetoid":
+    ds = dict(cfg.dataset)
+    if ds.pop("kind") == "planetoid":
         return load_planetoid(ds["dir"], ds["name"])
-    return generate_synthetic(
-        n=ds["n"],
-        num_classes=ds["classes"],
-        p_in=ds["p_in"],
-        p_out=ds["p_out"],
-        dim=ds.get("dim", 16),
-        sep=ds.get("sep", 1.0),
-        seed=ds.get("seed", 0),
-    )
+    ds["num_classes"] = ds.pop("classes")
+    return generate_synthetic(**ds)
 
 
 def feature_path(cfg: BenchConfig, encoder: EncoderSpec) -> str:
@@ -305,18 +305,12 @@ def prepare(cfg: BenchConfig, force: bool = False) -> list[str]:
 
 
 def make_split(cfg: BenchConfig, dataset: Dataset, run_seed: int) -> SplitMask:
-    split = cfg.split
-    seed = split["seed"] if split.get("seed") is not None else run_seed
-    if split["protocol"] == "low":
-        return split_low(
-            dataset.labels,
-            num_classes=dataset.num_classes,
-            per_class=split.get("per_class", 20),
-            n_val=split.get("n_val", 500),
-            n_test=split.get("n_test", 1000),
-            seed=seed,
-        )
-    return split_high(dataset.num_nodes, seed=seed)
+    split = dict(cfg.split)
+    if split.get("seed") is None:
+        split["seed"] = run_seed
+    if split.pop("protocol") == "low":
+        return split_low(dataset.labels, num_classes=dataset.num_classes, **split)
+    return split_high(dataset.num_nodes, seed=split["seed"])
 
 
 @dataclass

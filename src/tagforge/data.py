@@ -4,7 +4,8 @@ On-disk layout (all files share a ``<name>`` stem inside one directory):
 
 * ``<name>.edges``   two whitespace-separated node ids per line (an empty
   file is a valid edgeless graph); direction is ignored, duplicates and
-  self-citations are dropped
+  self-citations are dropped, and the graph is held as the symmetric 0/1
+  ``csr_array`` that ``graph.from_edge_list`` builds
 * ``<name>.labels``  one integer class id per line; the line count defines
   the node count
 * ``<name>.features``  optional EMB1 binary matrix (see tagforge.features)
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .graph import Graph, from_edge_list, validate_graph
+from .graph import from_edge_list
 from .rng import SplitMix64
 
 
@@ -54,11 +55,13 @@ class SplitMask:
 class Dataset:
     """A graph with node features, labels, and optional texts/splits.
 
+    ``graph`` is the (n, n) symmetric 0/1 ``csr_array`` adjacency, sorted,
+    duplicate-free and without self loops (``graph.from_edge_list``).
     ``features`` is a dense ndarray or, for sparse encoders, a
     ``csr_array`` (see ``bench.load_features``); None when absent.
     """
 
-    graph: Graph
+    graph: csr_array
     features: np.ndarray | csr_array | None
     labels: np.ndarray
     num_classes: int
@@ -68,7 +71,7 @@ class Dataset:
 
     @property
     def num_nodes(self) -> int:
-        return self.graph.num_nodes
+        return self.graph.shape[0]
 
 
 def _read_labels(path: str) -> np.ndarray:
@@ -129,7 +132,6 @@ def load_planetoid(directory: str, name: str) -> Dataset:
             f"{edges_path}: edge endpoint exceeds node count {n} from {labels_path}"
         )
     graph = from_edge_list(n, edges)
-    validate_graph(graph)
 
     features = None
     if os.path.exists(stem + ".features"):

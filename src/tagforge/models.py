@@ -37,7 +37,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .features import _atomic_write
-from .graph import Graph, normalize_adjacency, segment_max, segment_sum, spmm
+from .graph import normalize_adjacency, segment_max, segment_sum, spmm
 from .nn import Parameter, add_bias, dropout, dropout_backward, matmul, relu
 from .rng import SplitMix64
 
@@ -136,7 +136,7 @@ class PropagationContext:
         return index
 
 
-def build_context(g: Graph) -> PropagationContext:
+def build_context(g: csr_array) -> PropagationContext:
     return PropagationContext(normalize_adjacency(g))
 
 
@@ -453,7 +453,10 @@ def load_checkpoint(path: str) -> Model:
     params: dict[str, Parameter] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<Q", take(8, "name length"))
-        name = bytes(take(name_len, "name")).decode()
+        try:
+            name = bytes(take(name_len, "name")).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"{path}: parameter name is not UTF-8: {exc}") from exc
         rows, cols = struct.unpack("<QQ", take(16, "shape"))
         data = np.frombuffer(take(rows * cols * 8, f"values of {name}"), dtype="<f8")
         params[name] = Parameter(data.reshape(rows, cols).copy(), name)

@@ -19,19 +19,19 @@ import pytest
 
 from scipy.sparse import csr_array
 
-from tagforge.graph import Graph, from_edge_list, segment_max, segment_sum, spmm
+from tagforge.graph import from_edge_list, segment_max, segment_sum, spmm
 
 
 # ---------------------------------------------------------------------------
 # dense oracles
 
 
-def dense_normalized_adjacency(graph: Graph) -> np.ndarray:
+def dense_normalized_adjacency(graph: csr_array) -> np.ndarray:
     """Materialize D^{-1/2} (A + I) D^{-1/2} densely from scratch."""
-    n = graph.num_nodes
+    n = graph.shape[0]
     a = np.zeros((n, n))
     for i in range(n):
-        for j in graph.col_indices[graph.row_offsets[i] : graph.row_offsets[i + 1]]:
+        for j in graph.indices[graph.indptr[i] : graph.indptr[i + 1]]:
             a[i, j] = 1.0
     a = np.minimum(a + np.eye(n), 1.0)
     deg = a.sum(axis=1)
@@ -45,11 +45,11 @@ def dense_gt_attention(h, graph, params, heads):
     Returns (output, alphas) where alphas[head] is the dense attention
     matrix (rows sum to 1 over each neighborhood).
     """
-    n = graph.num_nodes
+    n = graph.shape[0]
     mask = np.zeros((n, n), dtype=bool)
     for i in range(n):
         mask[i, i] = True
-        for j in graph.col_indices[graph.row_offsets[i] : graph.row_offsets[i + 1]]:
+        for j in graph.indices[graph.indptr[i] : graph.indptr[i + 1]]:
             mask[i, j] = True
     width = params["W_Q"].value.shape[1]
     d_head = width // heads
@@ -148,12 +148,24 @@ def reference_gt_layer(h, context, params, heads):
     return out, backward
 
 
-def random_graph(n: int, p: float, seed: int) -> Graph:
+def random_graph(n: int, p: float, seed: int) -> csr_array:
     """Erdos-Renyi graph via numpy's own generator (independent of tagforge)."""
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.shape[0]) < p
     return from_edge_list(n, np.stack([iu[keep], ju[keep]], axis=1))
+
+
+def assert_graph(g) -> None:
+    """``g`` is a graph as ``from_edge_list`` promises: a square, symmetric
+    0/1 ``csr_array`` in canonical format with no diagonal."""
+    assert isinstance(g, csr_array)
+    assert g.shape[0] == g.shape[1]
+    # a new array over the same buffers recomputes scipy's cached flag
+    assert csr_array((g.data, g.indices, g.indptr), shape=g.shape).has_canonical_format
+    assert np.all(g.data == 1.0)
+    assert not g.diagonal().any()
+    assert (g != g.T).nnz == 0
 
 
 # ---------------------------------------------------------------------------

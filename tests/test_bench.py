@@ -130,6 +130,18 @@ def test_config_invalid_json(tmp_path):
         *(({"encoders": [_remote_encoder(retry_base_delay=bad)]},
            "encoder entry.*retry_base_delay(:| must)")
           for bad in (-1, "soon", None, float("nan"), float("inf"))),
+        # path and name fields refuse anything but a string
+        ({"dataset": {"kind": "planetoid", "dir": 5, "name": "toy"}},
+         "planetoid dataset block: dir"),
+        ({"dataset": {"kind": "planetoid", "dir": "ds", "name": 5}},
+         "planetoid dataset block: name"),
+        ({"encoders": [{"name": "f", "kind": "file", "path": 7}]}, "encoder entry: path"),
+        ({"encoders": [_remote_encoder(cache_dir=7)]}, "encoder entry: cache_dir"),
+        ({"encoders": [{"name": ["a"], "kind": "tfidf", "vocab_size": 4}]},
+         "encoder entry: name"),
+        ({"output": {"dir": 3}}, "output block: dir"),
+        ({"output": {"format": ["md"]}}, "output block: format"),
+        ({"dataset": {"kind": ["synthetic"]}}, "planetoid or synthetic"),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, overrides, message):
@@ -594,8 +606,8 @@ def test_cli_full_matrix_on_planetoid_dataset(tmp_path, capsys):
     from tagforge.data import generate_synthetic
 
     ds = generate_synthetic(36, 2, p_in=0.8, p_out=0.05, dim=5, sep=3.0, seed=6)
-    rows = np.repeat(np.arange(36), np.diff(ds.graph.row_offsets))
-    undirected = [(int(i), int(j)) for i, j in zip(rows, ds.graph.col_indices) if i < j]
+    rows = np.repeat(np.arange(36), np.diff(ds.graph.indptr))
+    undirected = [(int(i), int(j)) for i, j in zip(rows, ds.graph.indices) if i < j]
     write_planetoid(
         tmp_path / "ds", "toy",
         edges=undirected, labels=ds.labels.tolist(),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_planetoid
+from conftest import assert_graph, write_planetoid
 from tagforge.data import (
     DatasetFormatError,
     generate_synthetic,
@@ -13,7 +13,6 @@ from tagforge.data import (
     split_high,
     split_low,
 )
-from tagforge.graph import validate_graph
 from tagforge.models import ModelSpec, init_parameters
 from tagforge.train import TrainSpec, train
 
@@ -34,7 +33,7 @@ def test_load_roundtrip(tmp_path):
     ds = load_planetoid(directory, "toy")
     assert ds.num_nodes == 4
     assert ds.num_classes == 2
-    validate_graph(ds.graph)
+    assert_graph(ds.graph)
     assert ds.features.shape == (4, 2)
     assert ds.features.dtype == np.float64
     assert np.array_equal(ds.features, np.arange(8, dtype=np.float32).reshape(4, 2))
@@ -45,7 +44,7 @@ def test_load_roundtrip(tmp_path):
 def test_loader_symmetrizes_directed_input(tmp_path):
     directory = _toy_files(tmp_path, edges=[(0, 1), (1, 0), (2, 0)])
     ds = load_planetoid(directory, "toy")
-    row0 = ds.graph.col_indices[ds.graph.row_offsets[0] : ds.graph.row_offsets[1]]
+    row0 = ds.graph.indices[ds.graph.indptr[0] : ds.graph.indptr[1]]
     assert row0.tolist() == [1, 2]
 
 
@@ -66,8 +65,8 @@ def test_loader_missing_file(tmp_path):
 def test_loader_accepts_empty_edge_file(tmp_path):
     directory = _toy_files(tmp_path, edges=[])
     ds = load_planetoid(directory, "toy")
-    assert ds.graph.num_edges == 0
-    assert ds.graph.row_offsets.tolist() == [0, 0, 0, 0, 0]
+    assert ds.graph.nnz == 0
+    assert ds.graph.indptr.tolist() == [0, 0, 0, 0, 0]
 
 
 def test_loader_rejects_edge_beyond_node_count(tmp_path):
@@ -188,14 +187,14 @@ def test_split_low_disjoint_cover_of_stated_sizes(seed):
 def test_extreme_probabilities_give_disjoint_cliques():
     ds = generate_synthetic(4, 2, p_in=1.0, p_out=0.0, dim=3, sep=1.0, seed=9)
     # round-robin labels [0,1,0,1] -> cliques {0,2} and {1,3}
-    assert ds.graph.col_indices.tolist() == [2, 3, 0, 1]
+    assert ds.graph.indices.tolist() == [2, 3, 0, 1]
     assert ds.labels.tolist() == [0, 1, 0, 1]
 
 
 def test_synthetic_deterministic_per_seed():
     a = generate_synthetic(30, 3, 0.5, 0.1, dim=5, sep=2.0, seed=4)
     b = generate_synthetic(30, 3, 0.5, 0.1, dim=5, sep=2.0, seed=4)
-    assert np.array_equal(a.graph.col_indices, b.graph.col_indices)
+    assert np.array_equal(a.graph.indices, b.graph.indices)
     assert np.array_equal(a.features, b.features)
     assert a.texts == b.texts
     c = generate_synthetic(30, 3, 0.5, 0.1, dim=5, sep=2.0, seed=5)
@@ -204,7 +203,7 @@ def test_synthetic_deterministic_per_seed():
 
 def test_synthetic_invariants():
     ds = generate_synthetic(31, 4, 0.6, 0.05, dim=6, sep=1.5, seed=2)
-    validate_graph(ds.graph)
+    assert_graph(ds.graph)
     counts = np.bincount(ds.labels, minlength=4)
     assert counts.max() - counts.min() <= 1
     assert np.isfinite(ds.features).all()

@@ -1,4 +1,4 @@
-"""CSR construction, validation, normalization, and the segment_sum and
+"""Graph construction, normalization, and the segment_sum and
 spmm kernels against dense oracles and the reduceat reference.
 """
 
@@ -9,41 +9,39 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from conftest import (
+    assert_graph,
     dense_normalized_adjacency,
     random_graph,
     reference_segment_sum,
     reference_spmm,
 )
 from tagforge.graph import (
-    Graph,
     GraphFormatError,
     from_edge_list,
     normalize_adjacency,
     segment_sum,
     spmm,
-    validate_graph,
-    with_self_loops,
 )
 
 
 def test_single_undirected_edge_layout():
     g = from_edge_list(2, [(0, 1)])
-    assert g.col_indices.tolist() == [1, 0]
-    assert g.row_offsets.tolist() == [0, 1, 2]
+    assert g.indices.tolist() == [1, 0]
+    assert g.indptr.tolist() == [0, 1, 2]
 
 
 def test_edgeless_graph_has_flat_offsets():
     g = from_edge_list(3, [])
-    assert g.row_offsets.tolist() == [0, 0, 0, 0]
-    assert g.col_indices.size == 0
-    validate_graph(g)
+    assert g.indptr.tolist() == [0, 0, 0, 0]
+    assert g.indices.size == 0
+    assert_graph(g)
 
 
 def test_duplicates_self_loops_and_direction_are_cleaned():
     g = from_edge_list(4, [(0, 1), (1, 0), (0, 1), (2, 2), (3, 1)])
-    validate_graph(g)
-    assert g.num_edges == 4  # {0-1, 1-3} stored both ways
-    assert g.col_indices[g.row_offsets[1] : g.row_offsets[2]].tolist() == [0, 3]
+    assert_graph(g)
+    assert g.nnz == 4  # {0-1, 1-3} stored both ways
+    assert g.indices[g.indptr[1] : g.indptr[2]].tolist() == [0, 3]
 
 
 def test_out_of_range_edge_rejected():
@@ -51,39 +49,25 @@ def test_out_of_range_edge_rejected():
         from_edge_list(3, [(0, 3)])
 
 
-@pytest.mark.parametrize(
-    "graph",
-    [
-        Graph(2, np.array([0, 1]), np.array([1, 0])),  # offsets too short
-        Graph(2, np.array([0, 1, 1]), np.array([1, 0])),  # last offset != nnz
-        Graph(2, np.array([0, 2, 1]), np.array([1, 0, 0])),  # decreasing
-        Graph(2, np.array([0, 1, 2]), np.array([1, 5])),  # col out of range
-        Graph(2, np.array([0, 2, 2]), np.array([1, 1])),  # duplicate in row
-        Graph(3, np.array([0, 2, 2, 2]), np.array([2, 1])),  # unsorted row
-        Graph(2, np.array([0, 1, 1]), np.array([1])),  # asymmetric
-    ],
-)
-def test_validation_rejects_broken_structures(graph):
-    with pytest.raises(GraphFormatError):
-        validate_graph(graph)
-
-
 @given(
     n=st.integers(min_value=1, max_value=20),
-    seed=st.integers(min_value=0, max_value=10_000),
-    p=st.floats(min_value=0.0, max_value=1.0),
+    data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_generated_graphs_always_validate(n, seed, p):
-    validate_graph(random_graph(n, p, seed))
-
-
-def test_with_self_loops_inserts_sorted_and_dedups():
-    g = from_edge_list(3, [(0, 2)])
-    loops = with_self_loops(g)
-    assert loops.col_indices.tolist() == [0, 2, 1, 0, 2]
-    assert loops.row_offsets.tolist() == [0, 2, 3, 5]
-    assert with_self_loops(loops).col_indices.tolist() == loops.col_indices.tolist()
+def test_generated_graphs_always_validate(n, data):
+    ids = st.integers(min_value=0, max_value=n - 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=3 * n))
+    # repeat some pairs as they are and some reversed, and add self loops
+    repeats = data.draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+    loops = data.draw(st.lists(ids, max_size=n))
+    edges = pairs + repeats + [(j, i) for i, j in repeats] + [(i, i) for i in loops]
+    g = from_edge_list(n, edges)
+    assert_graph(g)
+    expected = {(i, j) for i, j in pairs if i != j}
+    expected |= {(j, i) for i, j in expected}
+    assert g.nnz == len(expected)
+    dense = dense_normalized_adjacency(g)
+    np.testing.assert_allclose(normalize_adjacency(g).toarray(), dense, rtol=0, atol=1e-12)
 
 
 def test_two_node_path_weights_are_half():
@@ -117,7 +101,7 @@ def test_normalization_matches_dense_oracle(seed):
     adj = normalize_adjacency(g)
     dense = dense_normalized_adjacency(g)
     rebuilt = np.zeros_like(dense)
-    rows = np.repeat(np.arange(g.num_nodes), np.diff(adj.indptr))
+    rows = np.repeat(np.arange(g.shape[0]), np.diff(adj.indptr))
     rebuilt[rows, adj.indices] = adj.data
     assert np.abs(rebuilt - dense).max() < 1e-12
     assert np.all(adj.data > 0) and np.all(adj.data <= 1.0)
@@ -192,14 +176,14 @@ def test_csr_kernels_match_reduceat_reference(n, seed, p, self_loops, trailing):
     # without self loops, isolated nodes are empty rows
     g = random_graph(n, p, seed)
     if self_loops:
-        g = with_self_loops(g)
+        g = normalize_adjacency(g)  # the self-looped pattern
     rng = np.random.default_rng(seed)
-    weights = rng.normal(size=g.num_edges)  # weight(i, j) != weight(j, i)
-    adj = csr_array((weights, g.col_indices, g.row_offsets), shape=(n, n))
-    values = rng.normal(size=(g.num_edges,) + trailing)
+    weights = rng.normal(size=g.nnz)  # weight(i, j) != weight(j, i)
+    adj = csr_array((weights, g.indices, g.indptr), shape=(n, n))
+    values = rng.normal(size=(g.nnz,) + trailing)
     np.testing.assert_allclose(
-        segment_sum(values, g.row_offsets),
-        reference_segment_sum(values, g.row_offsets),
+        segment_sum(values, g.indptr),
+        reference_segment_sum(values, g.indptr),
         rtol=0,
         atol=1e-12,
     )

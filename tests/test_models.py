@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
-import tagforge.graph as graph_module
 import tagforge.models as models
 from conftest import (
     dense_gt_attention,
@@ -22,7 +21,7 @@ from conftest import (
 )
 from tagforge.data import Dataset, generate_synthetic, split_high
 from tagforge.gradcheck import numeric_grad, rel_error
-from tagforge.graph import Graph, from_edge_list, normalize_adjacency, spmm
+from tagforge.graph import from_edge_list, normalize_adjacency, spmm
 from tagforge.models import (
     ARCHITECTURES,
     CheckpointFormatError,
@@ -278,8 +277,8 @@ def test_graph_models_are_permutation_equivariant(arch):
     perm = np.random.default_rng(0).permutation(ds.num_nodes)
     inv = np.argsort(perm)
     # relabel: node i becomes perm[i]
-    old_rows = np.repeat(np.arange(ds.num_nodes), np.diff(ds.graph.row_offsets))
-    edges = np.stack([perm[old_rows], perm[ds.graph.col_indices]], axis=1)
+    old_rows = np.repeat(np.arange(ds.num_nodes), np.diff(ds.graph.indptr))
+    edges = np.stack([perm[old_rows], perm[ds.graph.indices]], axis=1)
     permuted = Dataset(
         from_edge_list(ds.num_nodes, edges),
         ds.features[inv],
@@ -422,7 +421,7 @@ def test_gt_layer_is_bit_identical_to_per_head_reference(graph, heads, d_head, d
 
 def _assert_gt_layer_matches_reference(graph, heads, d_head, d_in, seed):
     rng = np.random.default_rng(seed)
-    n, width = graph.num_nodes, heads * d_head
+    n, width = graph.shape[0], heads * d_head
     values = {short: rng.normal(size=(d_in, width)) for short in ("W_Q", "W_K", "W_V", "W_S")}
     values["b"] = rng.normal(size=(1, width))
     h = rng.normal(size=(n, d_in))
@@ -476,17 +475,14 @@ def test_head_index_built_once_per_structure_and_heads(monkeypatch):
     assert built == [2, 1, 4, 2]
 
 
-def test_build_context_adds_self_loops_once(monkeypatch):
-    calls = []
-    add_loops = graph_module.with_self_loops
-    for module in (graph_module, models):  # whichever name build_context reaches
-        monkeypatch.setattr(
-            module, "with_self_loops", lambda g: calls.append(g) or add_loops(g), raising=False
-        )
+def test_build_context_adds_self_loops_once():
     graph = random_graph(10, 0.3, 2)
     context = build_context(graph)
-    assert calls == [graph]
     assert context.adj.shape == (10, 10)
+    assert context.adj.nnz == graph.nnz + 10
+    rows = np.repeat(np.arange(10), np.diff(context.adj.indptr))
+    on_diagonal = rows[rows == context.adj.indices]
+    assert on_diagonal.tolist() == list(range(10))  # each node's self loop, once
 
 
 def test_gt_layer_reads_the_adjacency_pattern_of_its_context():
@@ -498,9 +494,8 @@ def test_gt_layer_reads_the_adjacency_pattern_of_its_context():
     rng = SplitMix64(9)
     params = _gt_params(rng, 3, 4)
     h = rng.normal((3, 3))
-    pattern = Graph(3, context.adj.indptr, context.adj.indices)
     out, backward = graph_transformer_layer(h, context, params, heads=2)
-    expected, _ = dense_gt_attention(h, pattern, params, heads=2)
+    expected, _ = dense_gt_attention(h, context.adj, params, heads=2)
     assert np.abs(out - expected).max() < 1e-12
 
     # the pattern is now asymmetric, so the backward's transposed products
@@ -629,6 +624,17 @@ def test_checkpoint_bad_spec_is_a_format_error(tmp_path, spec_blob):
     path = tmp_path / "model.tagm"
     path.write_bytes(b"TAGM" + struct.pack("<IQ", 1, len(spec_blob)) + spec_blob)
     with pytest.raises(CheckpointFormatError, match="model.tagm: bad spec"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_non_utf8_parameter_name_is_a_format_error(tmp_path):
+    spec_blob = b'{"arch": "mlp", "in_dim": 3, "num_classes": 2}'
+    path = tmp_path / "model.tagm"
+    path.write_bytes(
+        b"TAGM" + struct.pack("<IQ", 1, len(spec_blob)) + spec_blob
+        + struct.pack("<QQ", 1, 2) + b"\xff\xfe" + struct.pack("<QQ", 1, 1) + bytes(8)
+    )
+    with pytest.raises(CheckpointFormatError, match="model.tagm: parameter name is not UTF-8"):
         load_checkpoint(str(path))
 
 
