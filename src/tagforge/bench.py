@@ -77,14 +77,21 @@ _FORMAT_SUFFIX = {"markdown": "md", "latex": "tex", "csv": "csv"}
 
 
 def _to_int(value) -> int:
-    """``int(value)``, refusing a number with a fractional part that ``int`` would truncate."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)``, refusing a bool or a fractional part that ``int`` would truncate."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
 def _optional_int(value) -> int | None:
     return None if value is None else _to_int(value)
+
+
+def _to_float(value) -> float:
+    """``float(value)``, refusing a bool."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _seed_list(value) -> tuple[int, ...]:
@@ -104,18 +111,18 @@ _TOP_CASTS = {"dataset": None, "encoders": None, "archs": None, "split": None, "
               "model": None, "output": None, "workers": _to_int}
 _DATASET_CASTS = {
     "planetoid": {"kind": None, "dir": _str, "name": _str},
-    "synthetic": {"kind": None, "n": _to_int, "classes": _to_int, "p_in": float, "p_out": float,
-                  "dim": _to_int, "sep": float, "seed": _to_int},
+    "synthetic": {"kind": None, "n": _to_int, "classes": _to_int, "p_in": _to_float,
+                  "p_out": _to_float, "dim": _to_int, "sep": _to_float, "seed": _to_int},
 }
 _DATASET_REQUIRED = {"planetoid": ("dir", "name"), "synthetic": ("n", "classes", "p_in", "p_out")}
 _SPLIT_CASTS = {"protocol": None, "per_class": _to_int, "n_val": _to_int, "n_test": _to_int,
                 "seed": _optional_int}
 _ENCODER_CASTS = {"name": _str, "kind": None, "vocab_size": _optional_int, "path": _str,
                   "endpoint": _str, "model": _str, "batch_size": _to_int, "cache_dir": _str,
-                  "max_in_flight": _to_int, "retry_base_delay": float, "timeout": float}
-_TRAIN_CASTS = {"epochs": _to_int, "patience": _to_int, "lr": None, "weight_decay": None,
-                "seeds": _seed_list}
-_MODEL_CASTS = {"layers": _to_int, "hidden": _to_int, "heads": _to_int, "dropout": float}
+                  "max_in_flight": _to_int, "retry_base_delay": _to_float, "timeout": _to_float}
+_TRAIN_CASTS = {"epochs": _to_int, "patience": _to_int, "lr": _to_float,
+                "weight_decay": _to_float, "seeds": _seed_list}
+_MODEL_CASTS = {"layers": _to_int, "hidden": _to_int, "heads": _to_int, "dropout": _to_float}
 _OUTPUT_CASTS = {"dir": _str, "format": _str}
 # Feature matrices with at most this share of nonzero entries (TF-IDF and
 # bag-of-words, e.g. about 2% on Cora) are kept as CSR: the layer-0 products

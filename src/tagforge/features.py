@@ -23,9 +23,9 @@ import struct
 import time
 import urllib.error
 import urllib.request
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,6 +34,8 @@ CACHE_ENV_VAR = "TAGFORGE_CACHE"
 
 _EMB1_MAGIC = b"EMB1"
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# tfidf takes row norms over dense row blocks of about this size
+_NORM_BLOCK_BYTES = 1 << 18
 
 
 class EmbeddingFormatError(ValueError):
@@ -101,72 +103,90 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def build_vocab(corpus: list[str], vocab_size: int) -> list[str]:
-    """Top terms by document frequency; ties break lexicographically."""
+def _term_pass(corpus: list[str], vocab_size: int):
+    """One tokenizing pass: (vocab, rows, cols, counts, df) of the nonzero
+    (document, vocab column) counts, found by sorting integer (document,
+    term) keys. Terms are interned as they are read."""
     if not corpus:
         raise ValueError("empty corpus")
-    df = Counter()
-    for doc in corpus:
-        df.update(set(tokenize(doc)))
-    ordered = sorted(df.items(), key=lambda item: (-item[1], item[0]))
-    return [term for term, _ in ordered[:vocab_size]]
+    index: dict[str, int] = {}
+    doc_terms = [[index.setdefault(t, len(index)) for t in tokenize(doc)] for doc in corpus]
+    terms = list(index)
+    docs = np.repeat(np.arange(len(corpus)), [len(ids) for ids in doc_terms])
+    flat = np.fromiter(chain.from_iterable(doc_terms), np.int64, docs.size)
+    keys, counts = np.unique(docs * len(terms) + flat, return_counts=True)
+    rows, term_ids = np.divmod(keys, max(len(terms), 1))
+    df = np.bincount(term_ids, minlength=len(terms))
+    by_name = np.array(sorted(range(len(terms)), key=terms.__getitem__), dtype=np.int64)
+    chosen = by_name[np.argsort(-df[by_name], kind="stable")][:vocab_size]
+    column = np.full(len(terms), -1)
+    column[chosen] = np.arange(chosen.size)
+    cols = column[term_ids]
+    kept = cols >= 0
+    return [terms[t] for t in chosen], rows[kept], cols[kept], counts[kept], df[chosen]
 
 
-def _term_count_matrix(corpus: list[str], vocab: list[str]) -> np.ndarray:
-    index = {term: j for j, term in enumerate(vocab)}
-    counts = np.zeros((len(corpus), len(vocab)), dtype=np.float64)
-    for i, doc in enumerate(corpus):
-        for token in tokenize(doc):
-            j = index.get(token)
-            if j is not None:
-                counts[i, j] += 1.0
-    return counts
+def build_vocab(corpus: list[str], vocab_size: int) -> list[str]:
+    """Top terms by document frequency; ties break lexicographically."""
+    return _term_pass(corpus, vocab_size)[0]
 
 
 def tfidf(corpus: list[str], vocab_size: int) -> tuple[np.ndarray, list[str]]:
-    """TF-IDF features: tf = raw count, idf = ln((1+N)/(1+df)) + 1, rows
-    L2-normalized (all-zero rows stay zero). Returns (matrix, vocab).
+    """TF-IDF features over ``build_vocab``'s terms: tf = raw count,
+    idf = ln((1+N)/(1+df)) + 1, rows L2-normalized (all-zero rows stay zero).
+    Returns (dense float64 matrix, vocab).
+
+    One tokenizing pass finds the vocab and every nonzero count; the dense
+    matrix is written only at those cells. Row norms are ``np.linalg.norm``
+    over dense rows, a block of rows at a time, so every value is
+    bit-identical to normalizing the whole dense count matrix at once.
     """
-    vocab = build_vocab(corpus, vocab_size)
-    counts = _term_count_matrix(corpus, vocab)
-    n_docs = len(corpus)
-    df = (counts > 0).sum(axis=0)
-    idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-    weighted = counts * idf
-    norms = np.linalg.norm(weighted, axis=1, keepdims=True)
-    return weighted / np.where(norms == 0.0, 1.0, norms), vocab
+    vocab, rows, cols, counts, df = _term_pass(corpus, vocab_size)
+    weights = counts * (np.log((1.0 + len(corpus)) / (1.0 + df)) + 1.0)[cols]
+    matrix = np.zeros((len(corpus), len(vocab)))
+    matrix[rows, cols] = weights
+    norms = np.empty(len(corpus))
+    step = max(1, _NORM_BLOCK_BYTES // max(matrix.itemsize * len(vocab), 1))
+    for start in range(0, len(corpus), step):
+        norms[start : start + step] = np.linalg.norm(matrix[start : start + step], axis=1)
+    matrix[rows, cols] = weights / norms[rows]
+    return matrix, vocab
 
 
 def save_embedding_file(path: str, matrix: np.ndarray) -> None:
-    """Write an EMB1 file (float32). The write is atomic."""
+    """Write an EMB1 file (float32) atomically, from the array's own buffer."""
     m = np.ascontiguousarray(matrix, dtype="<f4")
     if m.ndim != 2:
         raise ValueError(f"embedding matrix must be 2-D, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("embedding matrix has non-finite values")
-    payload = _EMB1_MAGIC + struct.pack("<QQ", *m.shape) + m.tobytes()
-    _atomic_write(path, payload)
+    _atomic_write(path, _EMB1_MAGIC + struct.pack("<QQ", *m.shape), m)
 
 
 def load_embedding_file(path: str) -> np.ndarray:
-    """Read an EMB1 file back as float32, bit-exact."""
+    """Read an EMB1 file back as float32, bit-exact: the size is checked
+    against the header, then the payload is read into one new array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 20 or blob[:4] != _EMB1_MAGIC:
-        raise EmbeddingFormatError(f"{path}: not an EMB1 file (bad magic)")
-    n, d = struct.unpack("<QQ", blob[4:20])
-    expected = 20 + n * d * 4
-    if len(blob) != expected:
-        raise EmbeddingFormatError(
-            f"{path}: payload is {len(blob)} bytes, expected {expected} for {n}x{d}"
-        )
-    matrix = np.frombuffer(blob[20:], dtype="<f4").reshape(n, d)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(20)
+        if len(header) < 20 or header[:4] != _EMB1_MAGIC:
+            raise EmbeddingFormatError(f"{path}: not an EMB1 file (bad magic)")
+        n, d = struct.unpack("<QQ", header[4:])
+        expected = 20 + n * d * 4
+        if size != expected:
+            raise EmbeddingFormatError(
+                f"{path}: payload is {size} bytes, expected {expected} for {n}x{d}"
+            )
+        matrix = np.empty((n, d), dtype="<f4")
+        if fh.readinto(matrix) != matrix.nbytes:
+            raise EmbeddingFormatError(f"{path}: file shrank while being read")
     if not np.isfinite(matrix).all():
         raise EmbeddingFormatError(f"{path}: non-finite values")
-    return matrix.copy()
+    return matrix
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, *chunks) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` via a temporary file and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     # created as open() would (0o666 less the umask), not 0o600 as by mkstemp
@@ -174,7 +194,7 @@ def _atomic_write(path: str, payload: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

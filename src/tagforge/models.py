@@ -420,8 +420,8 @@ def save_checkpoint(model: Model, path: str) -> None:
         chunks.append(struct.pack("<Q", len(encoded)))
         chunks.append(encoded)
         chunks.append(struct.pack("<QQ", *p.value.shape))
-        chunks.append(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
-    _atomic_write(path, b"".join(chunks))
+        chunks.append(np.ascontiguousarray(p.value, dtype="<f8"))
+    _atomic_write(path, *chunks)
 
 
 def load_checkpoint(path: str) -> Model:

@@ -43,10 +43,10 @@ class TrainSpec:
     def __post_init__(self):
         if self.epochs < 1 or self.patience < 1:
             raise ValueError("epochs and patience must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be non-negative")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight decay must be >= 0 and finite, got {self.weight_decay}")
         if not self.seeds:
             raise ValueError("need at least one seed")
 

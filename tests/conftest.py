@@ -12,6 +12,7 @@ import json
 import math
 import os
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 
 from scipy.sparse import csr_array
 
+from tagforge.features import tokenize
 from tagforge.graph import from_edge_list, segment_max, segment_sum, spmm
 
 
@@ -79,6 +81,35 @@ def reference_segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray
     if nonempty.size:
         out[nonempty] = np.add.reduceat(values, offsets[:-1][nonempty], axis=0)
     return out
+
+
+def reference_build_vocab(corpus: list[str], vocab_size: int) -> list[str]:
+    """Top terms by document frequency, ties lexicographic, from a Counter of
+    each document's token set."""
+    if not corpus:
+        raise ValueError("empty corpus")
+    df = Counter()
+    for doc in corpus:
+        df.update(set(tokenize(doc)))
+    ordered = sorted(df.items(), key=lambda item: (-item[1], item[0]))
+    return [term for term, _ in ordered[:vocab_size]]
+
+
+def reference_tfidf(corpus: list[str], vocab_size: int) -> tuple[np.ndarray, list[str]]:
+    """TF-IDF by a per-token dense count loop and whole-matrix arithmetic."""
+    vocab = reference_build_vocab(corpus, vocab_size)
+    index = {term: j for j, term in enumerate(vocab)}
+    counts = np.zeros((len(corpus), len(vocab)), dtype=np.float64)
+    for i, doc in enumerate(corpus):
+        for token in tokenize(doc):
+            j = index.get(token)
+            if j is not None:
+                counts[i, j] += 1.0
+    df = (counts > 0).sum(axis=0)
+    idf = np.log((1.0 + len(corpus)) / (1.0 + df)) + 1.0
+    weighted = counts * idf
+    norms = np.linalg.norm(weighted, axis=1, keepdims=True)
+    return weighted / np.where(norms == 0.0, 1.0, norms), vocab
 
 
 def reference_spmm(adj, h: np.ndarray) -> np.ndarray:

@@ -142,6 +142,17 @@ def test_config_invalid_json(tmp_path):
         ({"output": {"dir": 3}}, "output block: dir"),
         ({"output": {"format": ["md"]}}, "output block: format"),
         ({"dataset": {"kind": ["synthetic"]}}, "planetoid or synthetic"),
+        # a JSON bool is not a number, and lr and weight_decay must be finite
+        ({"train": {"epochs": True}}, "train block: epochs"),
+        ({"workers": True}, "workers"),
+        ({"split": {"protocol": "low", "per_class": True}}, "split block: per_class"),
+        ({"train": {"seeds": [True, False]}}, "train block: seeds"),
+        ({"train": {"lr": True}}, "train block: lr"),
+        ({"model": {"dropout": False}}, "model block: dropout"),
+        ({"train": {"lr": float("nan")}}, "train block: learning rate"),
+        ({"train": {"lr": float("inf")}}, "train block: learning rate"),
+        ({"train": {"weight_decay": float("inf")}}, "train block: weight decay must"),
+        ({"train": {"weight_decay": float("nan")}}, "train block: weight decay must"),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, overrides, message):
@@ -161,11 +172,22 @@ def test_config_accepts_integral_numbers(tmp_path):
     assert all(type(v) is int for v in (cfg.trainspec.epochs, cfg.model["layers"], cfg.workers))
 
 
-@pytest.mark.parametrize("seeds", [["a"], 3])
+@pytest.mark.parametrize("seeds", [["a"], 3, [True, False]])
 def test_cli_bad_seeds_exit_2(tmp_path, capsys, seeds):
     config = _write_config(tmp_path, train={"epochs": 2, "seeds": seeds})
     assert main(["bench", "--config", config]) == 2
     assert "train block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "train", [{"epochs": True}, {"lr": True}, {"lr": float("nan")}, {"weight_decay": float("inf")}],
+    ids=["bool_epochs", "bool_lr", "nan_lr", "inf_weight_decay"],
+)
+def test_cli_bool_or_non_finite_train_value_exits_2(tmp_path, capsys, train):
+    config = _write_config(tmp_path, train={"epochs": 2, "seeds": [0], **train})
+    assert main(["bench", "--config", config]) == 2
+    assert "train block" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_config_encoder_timeout_defaults_and_loads(tmp_path):

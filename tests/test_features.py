@@ -2,12 +2,14 @@
 
 import math
 import os
+import re
 import struct
 import urllib.request
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import reference_build_vocab, reference_tfidf
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagforge.features import (
@@ -79,6 +81,42 @@ def test_tfidf_empty_corpus():
         tfidf([], vocab_size=3)
 
 
+_WORDS = ["a", "b", "B", "ab", "Ab", "zeta", "x1", "42", "a-b", "b!", "...", "foo_bar", ""]
+_DOCS = st.one_of(
+    st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join),
+    st.text(alphabet="abAB01 ,.!-_", max_size=12),
+)
+
+
+@given(corpus=st.lists(_DOCS, min_size=1, max_size=8), vocab_size=st.integers(1, 20))
+@example(corpus=["", ""], vocab_size=1)
+@example(corpus=["b a", "B"], vocab_size=1)  # df tie between a and b
+@settings(max_examples=150, deadline=None)
+def test_tfidf_and_vocab_equal_the_dense_reference(corpus, vocab_size):
+    matrix, vocab = tfidf(corpus, vocab_size)
+    expected, expected_vocab = reference_tfidf(corpus, vocab_size)
+    assert vocab == expected_vocab == build_vocab(corpus, vocab_size)
+    assert vocab == reference_build_vocab(corpus, vocab_size)
+    assert matrix.shape == expected.shape and matrix.dtype == expected.dtype
+    assert np.array_equal(matrix, expected)
+
+
+def test_tfidf_equals_the_reference_over_many_row_blocks():
+    # 300 columns of float64 fill a 256 KiB norm block at 109 rows, so 546
+    # documents end in a one-row block
+    rng = np.random.default_rng(7)
+    words = [f"w{k}" for k in range(2000)]
+    weights = 1.0 / np.arange(1, len(words) + 1)
+    corpus = [
+        " ".join(rng.choice(words, size=rng.integers(0, 40), p=weights / weights.sum()))
+        for _ in range(546)
+    ]
+    matrix, vocab = tfidf(corpus, 300)
+    expected, expected_vocab = reference_tfidf(corpus, 300)
+    assert vocab == expected_vocab and len(vocab) == 300
+    assert np.array_equal(matrix.view(np.uint64), expected.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # EMB1 container
 
@@ -138,6 +176,55 @@ def test_emb1_rejects_non_finite(tmp_path):
         load_embedding_file(str(path))
     with pytest.raises(ValueError):
         save_embedding_file(str(tmp_path / "nan.emb"), np.array([[float("nan")]]))
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"EMB1" + struct.pack("<QQ", 1, 2) + struct.pack("<2f", 1.0, 2.0) + b"\x00",
+     b"EMB1" + struct.pack("<QQ", 3, 2)],
+    ids=["trailing_bytes", "header_only"],
+)
+def test_emb1_size_mismatch_names_the_path(tmp_path, blob):
+    path = tmp_path / "odd.emb"
+    path.write_bytes(blob)
+    with pytest.raises(EmbeddingFormatError, match=re.escape(str(path)) + ".*bytes"):
+        load_embedding_file(str(path))
+
+
+def test_emb1_load_returns_an_owned_writable_c_contiguous_array(tmp_path):
+    path = str(tmp_path / "m.emb")
+    save_embedding_file(path, np.arange(12.0).reshape(3, 4))
+    loaded = load_embedding_file(path)
+    assert loaded.dtype == np.float32 and loaded.shape == (3, 4)
+    assert loaded.flags.c_contiguous and loaded.flags.writeable and loaded.flags.owndata
+
+
+def test_emb1_roundtrips_signed_zero_subnormals_and_max_bit_exact(tmp_path):
+    info = np.finfo(np.float32)
+    values = np.array(
+        [[-0.0, 0.0, info.smallest_subnormal, -info.smallest_subnormal],
+         [info.smallest_normal / 2, info.max, -info.max, info.smallest_normal]],
+        dtype=np.float32,
+    )
+    path = tmp_path / "edge.emb"
+    save_embedding_file(str(path), values)
+    assert path.read_bytes() == b"EMB1" + struct.pack("<QQ", 2, 4) + values.tobytes()
+    assert np.array_equal(load_embedding_file(str(path)).view(np.uint32), values.view(np.uint32))
+
+
+def test_emb1_keeps_previous_file_when_replace_fails(tmp_path, monkeypatch):
+    path = tmp_path / "m.emb"
+    save_embedding_file(str(path), np.ones((2, 3)))
+    previous = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_embedding_file(str(path), np.zeros((4, 3)))
+    assert path.read_bytes() == previous
+    assert os.listdir(tmp_path) == ["m.emb"]
 
 
 # ---------------------------------------------------------------------------
