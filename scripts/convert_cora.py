@@ -15,7 +15,11 @@ paper ids to dense node ids (content order), label strings to class ids
                          symmetrizes)
     <out>/cora.features  EMB1 binary bag-of-words matrix
 
-Point the acceptance suite at the result with TAGFORGE_DATA=<out>.
+The dataset loader reads only the labels and edges. Acceptance criteria 5
+and 6 read cora.features themselves (point the suite at the result with
+TAGFORGE_DATA=<out>); a ``tagforge bench`` config uses it through a
+``file`` encoder, ``{"name": "bow", "kind": "file", "path":
+"<out>/cora.features"}``.
 Node/edge counts of public mirrors vary slightly; the summary printed at
 the end shows what was actually converted.
 """
@@ -78,6 +82,8 @@ def main() -> int:
     print(f"feature dim: {len(rows[0])}")
     print(f"citations kept: {len(edges)} (skipped {skipped} with unknown ids)")
     print(f"wrote {stem}.labels / .edges / .features")
+    print(f"use {stem}.features in a bench config through a file encoder: "
+          f'{{"name": "bow", "kind": "file", "path": "{stem}.features"}}')
     print(f"run the desk-scale reproduction with: TAGFORGE_DATA={args.out} "
           f"pytest tests/test_acceptance.py -v -s")
     return 0

@@ -29,10 +29,10 @@ from ``ModelSpec``, synthetic ``dataset`` defaults from
 numeric values (an integer field refuses a number with a fractional part)
 and refuses a path or name that is not a string, and builds one
 ``ModelSpec`` per arch, so an unknown key at any level, a value of the
-wrong type, ``hidden`` not divisible by ``heads`` or empty ``seeds`` is a
-``ConfigError``. ``load_features`` and ``run_seed`` are
-the one path from a config to a trained run; ``run_cell`` and ``tagforge
-train`` both go through them. Sparse feature matrices (TF-IDF,
+wrong type, ``heads`` or a split size below 1, ``hidden`` not divisible by
+``heads`` or empty ``seeds`` is a ``ConfigError``. ``load_features`` and
+``run_seed`` are the one path from a config to a trained run; ``run_cell``
+and ``tagforge train`` both go through them. Sparse feature matrices (TF-IDF,
 bag-of-words) stay CSR.
 
 ``split.seed`` is optional: when present the same split is reused for every
@@ -246,6 +246,9 @@ def load_config(path: str) -> BenchConfig:
     split = _coerce(path, "split block", blob.get("split", {"protocol": "high"}), _SPLIT_CASTS)
     if split.get("protocol") not in ("low", "high"):
         raise ConfigError(f"{path}: split.protocol must be 'low' or 'high'")
+    for key in ("per_class", "n_val", "n_test"):
+        if split.get(key, 1) < 1:
+            raise ConfigError(f"{path}: bad split block: {key} must be >= 1, got {split[key]}")
 
     train_blob = _coerce(path, "train block", blob.get("train", {}), _TRAIN_CASTS)
     try:

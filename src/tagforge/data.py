@@ -8,12 +8,12 @@ On-disk layout (all files share a ``<name>`` stem inside one directory):
   ``csr_array`` that ``graph.from_edge_list`` builds
 * ``<name>.labels``  one integer class id per line; the line count defines
   the node count
-* ``<name>.features``  optional EMB1 binary matrix (see tagforge.features)
 * ``<name>.texts``   optional, one raw document per line
-* ``<name>.split.json``  optional ``{"train": [...], "val": [...], "test": [...]}``
+
+The loader reads nothing else. Node features come from an encoder (see
+``bench``); a precomputed EMB1 matrix is used through a ``file`` encoder.
 """
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -53,12 +53,13 @@ class SplitMask:
 
 @dataclass
 class Dataset:
-    """A graph with node features, labels, and optional texts/splits.
+    """A graph with node features, labels, and optional texts.
 
     ``graph`` is the (n, n) symmetric 0/1 ``csr_array`` adjacency, sorted,
     duplicate-free and without self loops (``graph.from_edge_list``).
     ``features`` is a dense ndarray or, for sparse encoders, a
-    ``csr_array`` (see ``bench.load_features``); None when absent.
+    ``csr_array`` (see ``bench.load_features``); None until an encoder's
+    features are bound (``load_planetoid`` reads none).
     """
 
     graph: csr_array
@@ -66,7 +67,6 @@ class Dataset:
     labels: np.ndarray
     num_classes: int
     texts: list[str] | None = None
-    splits: SplitMask | None = None
     name: str = "dataset"
 
     @property
@@ -108,11 +108,9 @@ def _read_edges(path: str) -> list[tuple[int, int]]:
 def load_planetoid(directory: str, name: str) -> Dataset:
     """Load a dataset in the on-disk format documented in this module.
 
-    The graph is symmetrized on load; features/texts/split files are used
-    when present and checked for consistent node counts.
+    The graph is symmetrized on load; a texts file is used when present
+    and checked for a consistent node count. ``features`` is None.
     """
-    from .features import load_embedding_file  # deferred: features imports back
-
     stem = os.path.join(directory, name)
     labels_path, edges_path = stem + ".labels", stem + ".edges"
     for path in (labels_path, edges_path):
@@ -133,14 +131,6 @@ def load_planetoid(directory: str, name: str) -> Dataset:
         )
     graph = from_edge_list(n, edges)
 
-    features = None
-    if os.path.exists(stem + ".features"):
-        features = load_embedding_file(stem + ".features").astype(np.float64)
-        if features.shape[0] != n:
-            raise DatasetFormatError(
-                f"{stem}.features has {features.shape[0]} rows, expected {n}"
-            )
-
     texts = None
     if os.path.exists(stem + ".texts"):
         with open(stem + ".texts") as fh:
@@ -148,21 +138,7 @@ def load_planetoid(directory: str, name: str) -> Dataset:
         if len(texts) != n:
             raise DatasetFormatError(f"{stem}.texts has {len(texts)} lines, expected {n}")
 
-    splits = None
-    if os.path.exists(stem + ".split.json"):
-        with open(stem + ".split.json") as fh:
-            blob = json.load(fh)
-        try:
-            splits = SplitMask(
-                train=np.sort(np.asarray(blob["train"], dtype=np.int64)),
-                val=np.sort(np.asarray(blob["val"], dtype=np.int64)),
-                test=np.sort(np.asarray(blob["test"], dtype=np.int64)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise DatasetFormatError(f"{stem}.split.json: bad split file") from exc
-        splits.validate(n)
-
-    return Dataset(graph, features, labels, num_classes, texts, splits, name=name)
+    return Dataset(graph, None, labels, num_classes, texts, name=name)
 
 
 def split_low(

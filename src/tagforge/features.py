@@ -126,13 +126,9 @@ def _term_pass(corpus: list[str], vocab_size: int):
     return [terms[t] for t in chosen], rows[kept], cols[kept], counts[kept], df[chosen]
 
 
-def build_vocab(corpus: list[str], vocab_size: int) -> list[str]:
-    """Top terms by document frequency; ties break lexicographically."""
-    return _term_pass(corpus, vocab_size)[0]
-
-
 def tfidf(corpus: list[str], vocab_size: int) -> tuple[np.ndarray, list[str]]:
-    """TF-IDF features over ``build_vocab``'s terms: tf = raw count,
+    """TF-IDF features over the vocab, the ``vocab_size`` terms of highest
+    document frequency with ties broken lexicographically: tf = raw count,
     idf = ln((1+N)/(1+df)) + 1, rows L2-normalized (all-zero rows stay zero).
     Returns (dense float64 matrix, vocab).
 

@@ -6,7 +6,7 @@ parameter shapes ``(d_in, d_out) -> {short: shape}``, the layer call
 are multi-head, and whether the layer reads a ``PropagationContext`` (MLP
 does not). The context holds one self-looped CSR per graph: GCN
 multiplies by it, the graph transformer attends over its pattern. Init,
-checkpoints, ``forward_backward`` and ``gradcheck`` all read the table.
+``forward_backward`` and ``gradcheck`` all read the table.
 Calls name the layer functions as module globals, looked up when they
 run, so a wrapper installed on ``models.<layer>`` sees every call.
 
@@ -20,30 +20,18 @@ head of width num_classes.
 Weights are Glorot-uniform, U(-a, a) with a = sqrt(6 / (fan_in + fan_out));
 biases start at zero. Initialization draws weights in table order from one
 SplitMix64 stream, so a seed pins every parameter.
-
-Checkpoint container (all integers little-endian): magic ``TAGM``, u32
-version (1), u64 JSON length + the spec as UTF-8 JSON, u64 parameter count,
-then per parameter: u64 name length, name bytes, u64 rows, u64 cols, and
-rows*cols float64 values row-major.
 """
 
-import json
 import math
-import struct
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_array
 
-from .features import _atomic_write
 from .graph import normalize_adjacency, segment_max, segment_sum, spmm
 from .nn import Parameter, add_bias, dropout, dropout_backward, matmul, relu
 from .rng import SplitMix64
-
-
-class CheckpointFormatError(ValueError):
-    """A checkpoint file is malformed or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +51,8 @@ class ModelSpec:
             raise ValueError("need at least 2 layers")
         if self.in_dim < 1 or self.num_classes < 2 or self.hidden < 1:
             raise ValueError("in_dim/hidden must be >= 1 and num_classes >= 2")
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if ARCH_TABLE[self.arch].multi_head and self.hidden % self.heads != 0:
             raise ValueError(f"hidden={self.hidden} not divisible by heads={self.heads}")
         if not 0.0 <= self.dropout < 1.0:
@@ -78,7 +68,7 @@ class ModelSpec:
 
 @dataclass
 class Model:
-    """``parameters`` by TAGM name feeds Adam, snapshots and checkpoints;
+    """``parameters``, keyed ``layer{l}.{short}``, feeds Adam and snapshots;
     ``layers`` holds each layer's ``({short: Parameter}, heads)``."""
 
     spec: ModelSpec
@@ -405,69 +395,3 @@ def forward(
 ) -> np.ndarray:
     """Logits only; see forward_backward."""
     return forward_backward(model, dataset, context, training, rng, layer0)[0]
-
-
-_MAGIC = b"TAGM"
-_VERSION = 1
-
-
-def save_checkpoint(model: Model, path: str) -> None:
-    spec_blob = json.dumps(asdict(model.spec), sort_keys=True).encode()
-    chunks = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<Q", len(spec_blob)), spec_blob]
-    chunks.append(struct.pack("<Q", len(model.parameters)))
-    for name, p in model.parameters.items():
-        encoded = name.encode()
-        chunks.append(struct.pack("<Q", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<QQ", *p.value.shape))
-        chunks.append(np.ascontiguousarray(p.value, dtype="<f8"))
-    _atomic_write(path, *chunks)
-
-
-def load_checkpoint(path: str) -> Model:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)
-    pos = 0
-
-    def take(nbytes, what):
-        nonlocal pos
-        if pos + nbytes > len(view):
-            raise CheckpointFormatError(f"{path}: truncated while reading {what}")
-        chunk = view[pos : pos + nbytes]
-        pos += nbytes
-        return chunk
-
-    if bytes(take(4, "magic")) != _MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic, not a TAGM checkpoint")
-    (version,) = struct.unpack("<I", take(4, "version"))
-    if version != _VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported version {version}")
-    (spec_len,) = struct.unpack("<Q", take(8, "spec length"))
-    spec_blob = bytes(take(spec_len, "spec"))
-    try:
-        spec = ModelSpec(**json.loads(spec_blob))
-    except (TypeError, ValueError) as exc:  # not UTF-8 JSON, not an object, or a bad field
-        raise CheckpointFormatError(f"{path}: bad spec: {exc}") from exc
-    (count,) = struct.unpack("<Q", take(8, "parameter count"))
-    params: dict[str, Parameter] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<Q", take(8, "name length"))
-        try:
-            name = bytes(take(name_len, "name")).decode()
-        except UnicodeDecodeError as exc:
-            raise CheckpointFormatError(f"{path}: parameter name is not UTF-8: {exc}") from exc
-        rows, cols = struct.unpack("<QQ", take(16, "shape"))
-        data = np.frombuffer(take(rows * cols * 8, f"values of {name}"), dtype="<f8")
-        params[name] = Parameter(data.reshape(rows, cols).copy(), name)
-    if pos != len(view):
-        raise CheckpointFormatError(f"{path}: trailing bytes after last parameter")
-    expected = {
-        f"layer{layer}.{short}": shape
-        for layer, (shapes, _) in enumerate(spec.layer_table())
-        for short, shape in shapes.items()
-    }
-    actual = {name: p.value.shape for name, p in params.items()}
-    if actual != expected:
-        raise CheckpointFormatError(f"{path}: parameters do not match the spec shape table")
-    return Model(spec, params)

@@ -203,7 +203,7 @@ def assert_graph(g) -> None:
 # on-disk dataset fixtures
 
 
-def write_planetoid(directory, name, edges, labels, features=None, texts=None, split=None):
+def write_planetoid(directory, name, edges, labels, features=None, texts=None):
     """Write a dataset in the documented on-disk layout; returns the dir."""
     from tagforge.features import save_embedding_file
 
@@ -220,9 +220,6 @@ def write_planetoid(directory, name, edges, labels, features=None, texts=None, s
     if texts is not None:
         with open(stem + ".texts", "w") as fh:
             fh.write("\n".join(texts) + "\n")
-    if split is not None:
-        with open(stem + ".split.json", "w") as fh:
-            json.dump(split, fh)
     return directory
 
 

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dense_gt_attention, dense_normalized_adjacency, random_graph
+from conftest import dense_gt_attention, dense_normalized_adjacency, random_graph, write_planetoid
 from tagforge.cli import main
 from tagforge.data import generate_synthetic, load_planetoid, split_high, split_low
 from tagforge.features import load_embedding_file, save_embedding_file, tfidf
@@ -131,14 +131,33 @@ requires_cora = pytest.mark.skipif(
 )
 
 
+def planetoid_features(directory: str, name: str, texts: list[str] | None) -> np.ndarray:
+    """Criteria 5 and 6's features: ``<name>.features`` as float64 when the
+    directory has one, else TF-IDF over the dataset's texts."""
+    path = os.path.join(directory, name + ".features")
+    if os.path.exists(path):
+        return load_embedding_file(path).astype(np.float64)
+    return tfidf(texts, vocab_size=2000)[0]
+
+
+def test_planetoid_features_reads_the_file_or_falls_back_to_tfidf(tmp_path):
+    texts = ["alpha beta", "beta gamma", "alpha", "gamma gamma"]
+    values = np.arange(8, dtype=np.float32).reshape(4, 2) / 3
+    with_file = write_planetoid(tmp_path / "a", "toy", [(0, 1)], [0, 1, 0, 1],
+                                features=values, texts=texts)
+    features = planetoid_features(with_file, "toy", texts)
+    assert features.dtype == np.float64 and np.array_equal(features, values)
+    texts_only = write_planetoid(tmp_path / "b", "toy", [(0, 1)], [0, 1, 0, 1], texts=texts)
+    assert np.array_equal(planetoid_features(texts_only, "toy", texts),
+                          tfidf(texts, vocab_size=2000)[0])
+
+
 @pytest.fixture(scope="module")
 def cora_accuracies():
     """Five-seed accuracy means for all three architectures on Cora."""
     started = time.time()
     ds = load_planetoid(CORA_DIR, "cora")
-    if ds.features is None:  # fall back to TF-IDF over raw texts
-        matrix, _ = tfidf(ds.texts, vocab_size=2000)
-        ds.features = matrix
+    ds.features = planetoid_features(CORA_DIR, "cora", ds.texts)
     tspec = TrainSpec()  # 300 epochs, patience 10, lr 0.01, wd 5e-4, 5 seeds
     means = {}
     for arch in ("gcn", "graph_transformer", "mlp"):

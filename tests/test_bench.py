@@ -153,6 +153,16 @@ def test_config_invalid_json(tmp_path):
         ({"train": {"lr": float("inf")}}, "train block: learning rate"),
         ({"train": {"weight_decay": float("inf")}}, "train block: weight decay must"),
         ({"train": {"weight_decay": float("nan")}}, "train block: weight decay must"),
+        # heads is range-checked before the divisibility check, for every arch
+        ({"archs": ["graph_transformer"], "model": {"hidden": 8, "heads": 0}},
+         "model block: heads must be >= 1"),
+        ({"archs": ["graph_transformer"], "model": {"hidden": 8, "heads": -2}},
+         "model block: heads must be >= 1"),
+        ({"archs": ["gcn"], "model": {"heads": 0}}, "model block: heads must be >= 1"),
+        # split sizes below 1 fail at load, not in every cell
+        ({"split": {"protocol": "low", "per_class": 0}}, "split block: per_class must be >= 1"),
+        ({"split": {"protocol": "low", "n_val": -1}}, "split block: n_val must be >= 1"),
+        ({"split": {"protocol": "low", "n_test": -5}}, "split block: n_test must be >= 1"),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, overrides, message):

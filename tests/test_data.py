@@ -34,11 +34,8 @@ def test_load_roundtrip(tmp_path):
     assert ds.num_nodes == 4
     assert ds.num_classes == 2
     assert_graph(ds.graph)
-    assert ds.features.shape == (4, 2)
-    assert ds.features.dtype == np.float64
-    assert np.array_equal(ds.features, np.arange(8, dtype=np.float32).reshape(4, 2))
+    assert ds.features is None  # a features file is read through a file encoder
     assert ds.texts[3] == "gamma gamma"
-    assert ds.splits is None
 
 
 def test_loader_symmetrizes_directed_input(tmp_path):
@@ -46,15 +43,6 @@ def test_loader_symmetrizes_directed_input(tmp_path):
     ds = load_planetoid(directory, "toy")
     row0 = ds.graph.indices[ds.graph.indptr[0] : ds.graph.indptr[1]]
     assert row0.tolist() == [1, 2]
-
-
-def test_loader_reads_split_file(tmp_path):
-    directory = _toy_files(
-        tmp_path, split={"train": [0, 1], "val": [2], "test": [3]}
-    )
-    ds = load_planetoid(directory, "toy")
-    assert ds.splits.train.tolist() == [0, 1]
-    assert ds.splits.test.tolist() == [3]
 
 
 def test_loader_missing_file(tmp_path):
@@ -83,18 +71,6 @@ def test_loader_rejects_missing_class(tmp_path):
 
 def test_loader_rejects_text_count_mismatch(tmp_path):
     directory = _toy_files(tmp_path, texts=["only", "three", "lines"])
-    with pytest.raises(DatasetFormatError):
-        load_planetoid(directory, "toy")
-
-
-def test_loader_rejects_overlapping_split(tmp_path):
-    directory = _toy_files(tmp_path, split={"train": [0, 1], "val": [1], "test": [3]})
-    with pytest.raises(ValueError):
-        load_planetoid(directory, "toy")
-
-
-def test_loader_rejects_feature_row_mismatch(tmp_path):
-    directory = _toy_files(tmp_path, features=np.zeros((3, 2), dtype=np.float32))
     with pytest.raises(DatasetFormatError):
         load_planetoid(directory, "toy")
 

@@ -8,7 +8,7 @@ import urllib.request
 
 import numpy as np
 import pytest
-from conftest import reference_build_vocab, reference_tfidf
+from conftest import reference_tfidf
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from tagforge.features import (
     EmbeddingFormatError,
     EncoderSpec,
     RemoteEmbeddingError,
-    build_vocab,
     load_embedding_file,
     remote_embed,
     save_embedding_file,
@@ -32,13 +31,13 @@ def test_tokenize_lowercase_alnum_runs():
 def test_vocab_document_frequency_order_with_lexicographic_ties():
     corpus = ["b a", "b a", "b c", "c z"]
     # df: b=3, a=2, c=2, z=1 -> ties a/c break lexicographically
-    assert build_vocab(corpus, 4) == ["b", "a", "c", "z"]
-    assert build_vocab(corpus, 2) == ["b", "a"]
+    assert tfidf(corpus, 4)[1] == ["b", "a", "c", "z"]
+    assert tfidf(corpus, 2)[1] == ["b", "a"]
 
 
 def test_vocab_deterministic():
     corpus = ["red green blue", "green blue", "blue"]
-    assert build_vocab(corpus, 3) == build_vocab(corpus, 3)
+    assert tfidf(corpus, 3)[1] == tfidf(corpus, 3)[1]
 
 
 def test_tfidf_idf_unit_when_term_everywhere():
@@ -95,8 +94,7 @@ _DOCS = st.one_of(
 def test_tfidf_and_vocab_equal_the_dense_reference(corpus, vocab_size):
     matrix, vocab = tfidf(corpus, vocab_size)
     expected, expected_vocab = reference_tfidf(corpus, vocab_size)
-    assert vocab == expected_vocab == build_vocab(corpus, vocab_size)
-    assert vocab == reference_build_vocab(corpus, vocab_size)
+    assert vocab == expected_vocab
     assert matrix.shape == expected.shape and matrix.dtype == expected.dtype
     assert np.array_equal(matrix, expected)
 

@@ -1,9 +1,6 @@
 """Architecture assembly: layer semantics, dense-oracle equivalence,
-equivariances, initialization statistics, checkpoint container.
+equivariances, initialization statistics.
 """
-
-import os
-import struct
 
 import numpy as np
 import pytest
@@ -24,7 +21,6 @@ from tagforge.gradcheck import numeric_grad, rel_error
 from tagforge.graph import from_edge_list, normalize_adjacency, spmm
 from tagforge.models import (
     ARCHITECTURES,
-    CheckpointFormatError,
     ModelSpec,
     build_context,
     forward,
@@ -33,9 +29,7 @@ from tagforge.models import (
     glorot_uniform,
     graph_transformer_layer,
     init_parameters,
-    load_checkpoint,
     mlp_layer,
-    save_checkpoint,
 )
 from tagforge.nn import Parameter, cross_entropy
 from tagforge.rng import SplitMix64
@@ -556,94 +550,3 @@ def test_forward_requires_features_and_matching_dim():
     with pytest.raises(ValueError):
         forward(init_parameters(ModelSpec("gcn", in_dim=6, num_classes=2), 0), bare)
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-@pytest.mark.parametrize("arch", ["gcn", "graph_transformer", "mlp"])
-def test_checkpoint_roundtrip(arch, tmp_path):
-    spec = ModelSpec(arch, in_dim=7, num_classes=3, layers=2, hidden=4, heads=2)
-    model = init_parameters(spec, seed=9)
-    path = str(tmp_path / "model.tagm")
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
-    assert loaded.spec == spec
-    assert set(loaded.parameters) == set(model.parameters)
-    for name, p in model.parameters.items():
-        assert np.array_equal(loaded.parameters[name].value, p.value)
-
-
-def test_checkpoint_keeps_previous_file_when_replace_fails(tmp_path, monkeypatch):
-    spec = ModelSpec("mlp", in_dim=3, num_classes=2, layers=2, hidden=2)
-    path = tmp_path / "model.tagm"
-    save_checkpoint(init_parameters(spec, seed=0), str(path))
-    previous = path.read_bytes()
-
-    def failing_replace(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(init_parameters(spec, seed=1), str(path))
-    assert path.read_bytes() == previous
-    assert os.listdir(tmp_path) == ["model.tagm"]
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "bad.tagm"
-    path.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(str(path))
-
-
-def test_checkpoint_truncation(tmp_path):
-    spec = ModelSpec("mlp", in_dim=3, num_classes=2, layers=2, hidden=2)
-    model = init_parameters(spec, seed=0)
-    path = tmp_path / "model.tagm"
-    save_checkpoint(model, str(path))
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(str(path))
-
-
-@pytest.mark.parametrize(
-    "spec_blob",
-    [
-        b"{not json",
-        b'{"arch": "caf\xe9"}',  # not UTF-8
-        b"[1, 2]",
-        b'{"arch": "mlp", "in_dim": 3, "num_classes": 2, "colour": 1}',
-        b'{"arch": "resnet", "in_dim": 3, "num_classes": 2}',
-        b'{"arch": "mlp", "in_dim": "3", "num_classes": 2}',
-    ],
-    ids=["not-json", "not-utf8", "not-object", "unknown-key", "bad-arch", "bad-type"],
-)
-def test_checkpoint_bad_spec_is_a_format_error(tmp_path, spec_blob):
-    path = tmp_path / "model.tagm"
-    path.write_bytes(b"TAGM" + struct.pack("<IQ", 1, len(spec_blob)) + spec_blob)
-    with pytest.raises(CheckpointFormatError, match="model.tagm: bad spec"):
-        load_checkpoint(str(path))
-
-
-def test_checkpoint_non_utf8_parameter_name_is_a_format_error(tmp_path):
-    spec_blob = b'{"arch": "mlp", "in_dim": 3, "num_classes": 2}'
-    path = tmp_path / "model.tagm"
-    path.write_bytes(
-        b"TAGM" + struct.pack("<IQ", 1, len(spec_blob)) + spec_blob
-        + struct.pack("<QQ", 1, 2) + b"\xff\xfe" + struct.pack("<QQ", 1, 1) + bytes(8)
-    )
-    with pytest.raises(CheckpointFormatError, match="model.tagm: parameter name is not UTF-8"):
-        load_checkpoint(str(path))
-
-
-def test_checkpoint_rejects_wrong_shapes(tmp_path):
-    spec = ModelSpec("mlp", in_dim=3, num_classes=2, layers=2, hidden=2)
-    model = init_parameters(spec, seed=0)
-    # sabotage: swap in a parameter grid that disagrees with the spec table
-    model.parameters["layer0.W"] = Parameter(np.zeros((5, 5)), "layer0.W")
-    path = str(tmp_path / "model.tagm")
-    save_checkpoint(model, path)
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(path)

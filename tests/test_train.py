@@ -1,13 +1,13 @@
 """Optimizer math, the training protocol, evaluation, aggregation."""
 
 import dataclasses
-import importlib
 import math
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
+import tagforge.train as train_module
 from tagforge import models
 from tagforge.data import Dataset, SplitMask, generate_synthetic, split_high
 from tagforge.graph import from_edge_list
@@ -234,8 +234,7 @@ def test_train_mlp_builds_no_propagation_context(monkeypatch):
     def no_context(graph):
         raise AssertionError("MLP training built a propagation context")
 
-    # the module, not the function that tagforge re-exports as ``tagforge.train``
-    monkeypatch.setattr(importlib.import_module("tagforge.train"), "build_context", no_context)
+    monkeypatch.setattr(train_module, "build_context", no_context)
     ds, split = _toy()
     spec = ModelSpec("mlp", in_dim=8, num_classes=2)
     result = train(init_parameters(spec, 0), ds, split, TrainSpec(epochs=5), seed=0)
@@ -361,7 +360,6 @@ def test_each_epoch_starts_with_forward_backward_and_ends_with_evaluate(
     """perfbench's epoch timer starts an epoch at each ``train.forward_backward``
     call and its tracer times ``train.evaluate``: per epoch, one
     forward_backward first and one evaluate last, plus the test evaluate."""
-    module = importlib.import_module("tagforge.train")
     log = []
 
     def logged(attr, fn):
@@ -372,7 +370,7 @@ def test_each_epoch_starts_with_forward_backward_and_ends_with_evaluate(
         return wrapper
 
     for attr in ("forward_backward", "cross_entropy", "adam_step", "evaluate"):
-        monkeypatch.setattr(module, attr, logged(attr, getattr(module, attr)))
+        monkeypatch.setattr(train_module, attr, logged(attr, getattr(train_module, attr)))
     result = _train_constant_val(tspec)
     assert result.stop_reason == stop_reason
     assert log.count("forward_backward") == result.epochs_ran
