@@ -31,7 +31,7 @@ def main() -> int:
     # p_in/p_out calibrated to Cora's density: ~5400 undirected edges,
     # roughly four-fifths of them within-class
     ds = generate_synthetic(
-        n=2708, num_classes=7, p_in=0.00827, p_out=0.000344,
+        n=2708, classes=7, p_in=0.00827, p_out=0.000344,
         dim=32, sep=args.sep, seed=0,
     )
     degrees = ds.graph.nnz / ds.num_nodes

@@ -30,11 +30,7 @@ def main() -> int:
     os.makedirs(args.dir, exist_ok=True)
     dataset = {"kind": "synthetic", "n": 200, "classes": 3, "p_in": 0.15,
                "p_out": 0.01, "dim": 16, "sep": 2.0, "seed": 7}
-    ds = generate_synthetic(
-        n=dataset["n"], num_classes=dataset["classes"], p_in=dataset["p_in"],
-        p_out=dataset["p_out"], dim=dataset["dim"], sep=dataset["sep"],
-        seed=dataset["seed"],
-    )
+    ds = generate_synthetic(**{key: value for key, value in dataset.items() if key != "kind"})
     save_embedding_file(os.path.join(args.dir, "native.emb"), ds.features)
     one_hot = np.eye(ds.num_classes, dtype=np.float32)[ds.labels]
     save_embedding_file(os.path.join(args.dir, "onehot.emb"), one_hot)

@@ -22,18 +22,16 @@ A benchmark is described by one JSON config file:
 }
 ```
 
-Every block accepts only the keys shown above (``model`` defaults come
-from ``ModelSpec``, synthetic ``dataset`` defaults from
-``generate_synthetic``, ``split`` defaults from ``split_low``).
-``load_config`` checks each block against one key table that casts its
-numeric values (an integer field refuses a number with a fractional part)
-and refuses a path or name that is not a string, and builds one
-``ModelSpec`` per arch, so an unknown key at any level, a value of the
-wrong type, ``heads`` or a split size below 1, ``hidden`` not divisible by
-``heads`` or empty ``seeds`` is a ``ConfigError``. ``load_features`` and
-``run_seed`` are the one path from a config to a trained run; ``run_cell``
-and ``tagforge train`` both go through them. Sparse feature matrices (TF-IDF,
-bag-of-words) stay CSR.
+``load_config`` checks each block against one key table: its keys, their
+casts, defaults and required keys, read from the signature of what the block
+feeds (``load_planetoid`` or ``generate_synthetic``, ``split_low`` or
+``split_high``, the ``EncoderSpec`` fields of the entry's kind, ``TrainSpec``,
+``ModelSpec``), whose own checks then run. An unknown or missing key, a value
+of the wrong type (a bool, a fractional integer, a non-string path) or out of
+range is a ``ConfigError``, and so is a split that the dataset cannot supply,
+before any run. ``load_features`` and ``run_seed`` are the one path
+from a config to a trained run; ``run_cell`` and ``tagforge train`` both go
+through them. Sparse feature matrices (TF-IDF, bag-of-words) stay CSR.
 
 ``split.seed`` is optional: when present the same split is reused for every
 run; when absent each run re-draws its split from the run seed. Prepared
@@ -48,6 +46,7 @@ the table is still emitted.
 """
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -58,8 +57,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_array
 
-from .data import Dataset, SplitMask, generate_synthetic, load_planetoid, split_high, split_low
+from .data import Dataset, SplitMask, check_synthetic, generate_synthetic, load_planetoid
+from .data import split_high, split_low
 from .features import (
+    ENCODER_KINDS,
     EncoderSpec,
     _atomic_write,
     load_embedding_file,
@@ -70,10 +71,8 @@ from .features import (
 from .models import ARCHITECTURES, ModelSpec, init_parameters
 from .train import RunResult, TrainSpec, aggregate, train
 
-TABLE_FORMATS = ("markdown", "latex", "csv")
-_FORMAT_ALIASES = {"md": "markdown", "tex": "latex", "markdown": "markdown",
-                   "latex": "latex", "csv": "csv"}
 _FORMAT_SUFFIX = {"markdown": "md", "latex": "tex", "csv": "csv"}
+_FORMAT_ALIASES = {alias: name for name, ext in _FORMAT_SUFFIX.items() for alias in (name, ext)}
 
 
 def _to_int(value) -> int:
@@ -83,10 +82,6 @@ def _to_int(value) -> int:
     return int(value)
 
 
-def _optional_int(value) -> int | None:
-    return None if value is None else _to_int(value)
-
-
 def _to_float(value) -> float:
     """``float(value)``, refusing a bool."""
     if isinstance(value, bool):
@@ -94,10 +89,14 @@ def _to_float(value) -> float:
     return float(value)
 
 
+def _list(value) -> list:
+    if not isinstance(value, list) or not value:
+        raise TypeError(f"expected a JSON array of at least one entry, got {value!r}")
+    return value
+
+
 def _seed_list(value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise TypeError(f"seeds must be a list of integers, got {value!r}")
-    return tuple(_to_int(seed) for seed in value)
+    return tuple(_to_int(seed) for seed in _list(value))
 
 
 def _str(value) -> str:
@@ -106,24 +105,41 @@ def _str(value) -> str:
     return value
 
 
-# Each block's whole key table: key -> its cast, or None for a key kept as is.
-_TOP_CASTS = {"dataset": None, "encoders": None, "archs": None, "split": None, "train": None,
-              "model": None, "output": None, "workers": _to_int}
-_DATASET_CASTS = {
-    "planetoid": {"kind": None, "dir": _str, "name": _str},
-    "synthetic": {"kind": None, "n": _to_int, "classes": _to_int, "p_in": _to_float,
-                  "p_out": _to_float, "dim": _to_int, "sep": _to_float, "seed": _to_int},
-}
-_DATASET_REQUIRED = {"planetoid": ("dir", "name"), "synthetic": ("n", "classes", "p_in", "p_out")}
-_SPLIT_CASTS = {"protocol": None, "per_class": _to_int, "n_val": _to_int, "n_test": _to_int,
-                "seed": _optional_int}
-_ENCODER_CASTS = {"name": _str, "kind": None, "vocab_size": _optional_int, "path": _str,
-                  "endpoint": _str, "model": _str, "batch_size": _to_int, "cache_dir": _str,
-                  "max_in_flight": _to_int, "retry_base_delay": _to_float, "timeout": _to_float}
-_TRAIN_CASTS = {"epochs": _to_int, "patience": _to_int, "lr": _to_float,
-                "weight_decay": _to_float, "seeds": _seed_list}
-_MODEL_CASTS = {"layers": _to_int, "hidden": _to_int, "heads": _to_int, "dropout": _to_float}
-_OUTPUT_CASTS = {"dir": _str, "format": _str}
+# Each annotation's cast; JSON null is no string (leave the key out for None).
+_CASTS = {int: _to_int, float: _to_float, str: _str, tuple[int, ...]: _seed_list,
+          int | None: lambda value: None if value is None else _to_int(value), str | None: _str}
+_REQUIRED = inspect.Parameter.empty
+
+
+def _key_table(consumer, *supplied: str) -> dict:
+    """The key table of the block fed to the function or dataclass ``consumer``:
+    key -> (cast, default) for each of its parameters but the ``supplied`` ones."""
+    params = inspect.signature(consumer).parameters.values()
+    return {p.name: (_CASTS[p.annotation], p.default) for p in params if p.name not in supplied}
+
+
+def _defaults(table: dict) -> dict:
+    return {key: default for key, (_, default) in table.items() if default is not _REQUIRED}
+
+
+# Read at import: a tracer may later wrap these module globals in (*args, **kwargs).
+_DATASET_KEYS = {"planetoid": _key_table(load_planetoid),
+                 "synthetic": _key_table(generate_synthetic)}
+# split.seed is the bench's own: absent or null, each run splits by its run seed.
+_SPLIT_SEED = {"seed": (_CASTS[int | None], None)}
+_SPLIT_KEYS = {"low": _key_table(split_low, "labels", "num_classes", "seed") | _SPLIT_SEED,
+               "high": _key_table(split_high, "n", "seed") | _SPLIT_SEED}
+_ENCODER_KEYS = {kind: {key: entry for key, entry in _key_table(EncoderSpec).items()
+                        if key in ("name", *fields)} for kind, fields in ENCODER_KINDS.items()}
+_TRAIN_KEYS = _key_table(TrainSpec)
+_MODEL_KEYS = _key_table(ModelSpec, "arch", "in_dim", "num_classes")
+# The top level and the output block feed no one function.
+_TOP_KEYS = {"dataset": (None, _REQUIRED), "encoders": (_list, _REQUIRED),
+             "archs": (_list, _REQUIRED), "split": (None, {"protocol": "high"}),
+             "train": (None, {}), "model": (None, {}), "output": (None, {}),
+             "workers": (_to_int, 1)}
+_OUTPUT_KEYS = {"dir": (_str, "bench_out"),
+                "format": (lambda value: normalize_format(_str(value)), "markdown")}
 # Feature matrices with at most this share of nonzero entries (TF-IDF and
 # bag-of-words, e.g. about 2% on Cora) are kept as CSR: the layer-0 products
 # ``X @ W`` and ``X.T @ d`` then cost O(nnz). Measured with a 2708 x 1433
@@ -144,9 +160,9 @@ class BenchConfig:
     split: dict
     trainspec: TrainSpec
     model: dict
-    out_dir: str = "bench_out"
-    table_format: str = "markdown"
-    workers: int = 1
+    out_dir: str
+    table_format: str
+    workers: int
 
     @property
     def seeds(self) -> tuple[int, ...]:
@@ -159,27 +175,42 @@ def normalize_format(fmt: str) -> str:
     return _FORMAT_ALIASES[fmt]
 
 
-def _coerce(path: str, where: str, block, casts: dict) -> dict:
-    """A copy of the JSON object ``block`` with each value cast by its key's
-    entry in ``casts``, the block's whole key table (None: kept as is).
-
-    A non-object block, a key the table lacks or a value its cast rejects
-    is a ConfigError.
-    """
+def _coerce(path: str, where: str, block, table: dict, tag: str | None = None) -> dict:
+    """A copy of the JSON object ``block``, each value cast by its entry in the
+    whole key table ``table`` (a None cast keeps it) or, with ``tag``, in the
+    table ``table`` holds for the block's value of that key. A non-object block,
+    an unknown or missing required key or a value its cast rejects is a ConfigError."""
+    if tag is not None:
+        choice = block.get(tag) if isinstance(block, dict) else None
+        if not isinstance(choice, str) or choice not in table:
+            raise ConfigError(f"{path}: bad {where}: expected an object whose {tag} is "
+                              f"{' or '.join(table)}, got {block!r}")
+        where, table = f"{choice} {where}", {tag: (None, _REQUIRED), **table[choice]}
+    bad = where.removeprefix("the ")  # "bad top level: workers"
     if not isinstance(block, dict):
-        raise ConfigError(f"{path}: bad {where}: expected an object, got {block!r}")
-    unknown = sorted(set(block) - set(casts))
+        raise ConfigError(f"{path}: bad {bad}: expected an object, got {block!r}")
+    unknown = sorted(set(block) - set(table))
     if unknown:
         raise ConfigError(f"{path}: unknown key {unknown[0]!r} in {where}")
     block = dict(block)
-    for key, cast in casts.items():
-        if key in block and cast is not None:
+    for key, (cast, default) in table.items():
+        if key not in block:
+            if default is _REQUIRED:
+                raise ConfigError(f"{path}: {where} needs {key!r}")
+        elif cast is not None:
             try:
                 block[key] = cast(block[key])
             except (TypeError, ValueError) as exc:
-                where = where.removeprefix("the ")  # "bad top level: workers"
-                raise ConfigError(f"{path}: bad {where}: {key}: {exc}") from exc
+                raise ConfigError(f"{path}: bad {bad}: {key}: {exc}") from exc
     return block
+
+
+def _make(path: str, where: str, consumer, /, *args, **kwargs):
+    """``consumer(*args, **kwargs)``, with what it refuses as a ConfigError."""
+    try:
+        return consumer(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad {where}: {exc}") from exc
 
 
 def load_config(path: str) -> BenchConfig:
@@ -196,46 +227,33 @@ def load_config(path: str) -> BenchConfig:
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
-    try:
-        dataset = blob["dataset"]
-        encoder_blobs = list(blob["encoders"])
-        archs = list(blob["archs"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: missing required key: {exc}") from exc
-    workers = _coerce(path, "the top level", blob, _TOP_CASTS).get("workers", 1)
-    if not encoder_blobs or not archs:
-        raise ConfigError(f"{path}: need at least one encoder and one arch")
+    top = _defaults(_TOP_KEYS) | _coerce(path, "the top level", blob, _TOP_KEYS)
+    archs = top["archs"]
     for arch in archs:
         if arch not in ARCHITECTURES:
             raise ConfigError(f"{path}: unknown arch {arch!r}")
     if len(set(archs)) != len(archs):
         raise ConfigError(f"{path}: duplicate archs")
 
-    kind = dataset.get("kind") if isinstance(dataset, dict) else None
-    if not isinstance(kind, str) or kind not in _DATASET_CASTS:
-        raise ConfigError(f"{path}: bad dataset block: expected an object whose kind is "
-                          f"planetoid or synthetic, got {dataset!r}")
-    dataset = _coerce(path, f"{kind} dataset block", dataset, _DATASET_CASTS[kind])
-    for key in _DATASET_REQUIRED[kind]:
-        if key not in dataset:
-            raise ConfigError(f"{path}: {kind} dataset needs {key!r}")
-    if kind == "planetoid":
+    dataset = _coerce(path, "dataset block", top["dataset"], _DATASET_KEYS, "kind")
+    if dataset["kind"] == "planetoid":
         dataset["dir"] = resolve(dataset["dir"])
         stem = os.path.join(dataset["dir"], dataset["name"])
         for suffix in (".labels", ".edges"):
             if not os.path.exists(stem + suffix):
                 raise ConfigError(f"{path}: dataset file missing: {stem + suffix}")
+    else:
+        args = _defaults(_DATASET_KEYS["synthetic"]) | dataset
+        _make(path, "synthetic dataset block", check_synthetic,
+              args["n"], args["classes"], args["p_in"], args["p_out"], args["dim"])
 
     encoders = []
-    for enc in encoder_blobs:
-        enc = _coerce(path, "encoder entry", enc, _ENCODER_CASTS)
+    for enc in top["encoders"]:
+        enc = _coerce(path, "encoder entry", enc, _ENCODER_KEYS, "kind")
         for key in ("path", "cache_dir"):
             if enc.get(key):
                 enc[key] = resolve(enc[key])
-        try:
-            spec = EncoderSpec(**enc)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad encoder entry {enc.get('name')!r}: {exc}") from exc
+        spec = _make(path, f"encoder entry {enc['name']!r}", EncoderSpec, **enc)
         if spec.kind == "file" and not os.path.exists(spec.path):
             raise ConfigError(f"{path}: encoder {spec.name!r} file missing: {spec.path}")
         encoders.append(spec)
@@ -243,39 +261,27 @@ def load_config(path: str) -> BenchConfig:
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}: duplicate encoder names")
 
-    split = _coerce(path, "split block", blob.get("split", {"protocol": "high"}), _SPLIT_CASTS)
-    if split.get("protocol") not in ("low", "high"):
-        raise ConfigError(f"{path}: split.protocol must be 'low' or 'high'")
+    split = _coerce(path, "split block", top["split"], _SPLIT_KEYS, "protocol")
     for key in ("per_class", "n_val", "n_test"):
         if split.get(key, 1) < 1:
             raise ConfigError(f"{path}: bad split block: {key} must be >= 1, got {split[key]}")
 
-    train_blob = _coerce(path, "train block", blob.get("train", {}), _TRAIN_CASTS)
-    try:
-        trainspec = TrainSpec(**train_blob)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad train block: {exc}") from exc
-
-    model = _coerce(path, "model block", blob.get("model", {}), _MODEL_CASTS)
-    try:
-        for arch in archs:
-            ModelSpec(arch, in_dim=1, num_classes=2, **model)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad model block: {exc}") from exc
-    output = _coerce(path, "output block", blob.get("output", {}), _OUTPUT_CASTS)
-    out_dir = resolve(output.get("dir", "bench_out"))
-    table_format = normalize_format(output.get("format", "markdown"))
-    if workers < 1:
+    train = _coerce(path, "train block", top["train"], _TRAIN_KEYS)
+    trainspec = _make(path, "train block", TrainSpec, **train)
+    model = _coerce(path, "model block", top["model"], _MODEL_KEYS)
+    for arch in archs:
+        _make(path, "model block", ModelSpec, arch, in_dim=1, num_classes=2, **model)
+    output = _defaults(_OUTPUT_KEYS) | _coerce(path, "output block", top["output"], _OUTPUT_KEYS)
+    if top["workers"] < 1:
         raise ConfigError(f"{path}: workers must be >= 1")
-    return BenchConfig(dataset, encoders, archs, split, trainspec, model, out_dir,
-                       table_format, workers)
+    return BenchConfig(dataset, encoders, archs, split, trainspec, model,
+                       resolve(output["dir"]), output["format"], top["workers"])
 
 
 def load_bench_dataset(cfg: BenchConfig) -> Dataset:
     ds = dict(cfg.dataset)
     if ds.pop("kind") == "planetoid":
-        return load_planetoid(ds["dir"], ds["name"])
-    ds["num_classes"] = ds.pop("classes")
+        return load_planetoid(**ds)
     return generate_synthetic(**ds)
 
 
@@ -318,9 +324,12 @@ def make_split(cfg: BenchConfig, dataset: Dataset, run_seed: int) -> SplitMask:
     split = dict(cfg.split)
     if split.get("seed") is None:
         split["seed"] = run_seed
-    if split.pop("protocol") == "low":
+    try:
+        if split.pop("protocol") == "high":
+            return split_high(dataset.num_nodes, **split)
         return split_low(dataset.labels, num_classes=dataset.num_classes, **split)
-    return split_high(dataset.num_nodes, seed=split["seed"])
+    except ValueError as exc:  # the dataset is too small for the split, whatever the seed
+        raise ConfigError(f"bad split block: {exc}") from exc
 
 
 @dataclass
@@ -401,6 +410,7 @@ def run_bench(cfg: BenchConfig, log=None) -> BenchResult:
     """Run the full encoder x arch grid; failures become failed cells."""
     say = log or (lambda msg: None)
     dataset = load_bench_dataset(cfg)
+    make_split(cfg, dataset, 0)  # a ConfigError before any run if the dataset is too small
     pairs = [(e.name, a) for e in cfg.encoders for a in cfg.archs]
     cells: dict[tuple[str, str], CellResult] = {}
 

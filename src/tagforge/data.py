@@ -105,13 +105,13 @@ def _read_edges(path: str) -> list[tuple[int, int]]:
     return edges
 
 
-def load_planetoid(directory: str, name: str) -> Dataset:
+def load_planetoid(dir: str, name: str) -> Dataset:
     """Load a dataset in the on-disk format documented in this module.
 
     The graph is symmetrized on load; a texts file is used when present
     and checked for a consistent node count. ``features`` is None.
     """
-    stem = os.path.join(directory, name)
+    stem = os.path.join(dir, name)
     labels_path, edges_path = stem + ".labels", stem + ".edges"
     for path in (labels_path, edges_path):
         if not os.path.exists(path):
@@ -202,9 +202,19 @@ def split_high(n: int, seed: int = 0) -> SplitMask:
     return mask
 
 
+def check_synthetic(n: int, classes: int, p_in: float, p_out: float, dim: int) -> None:
+    """Raise ValueError, naming the argument, unless ``generate_synthetic`` can run."""
+    if not (0.0 <= p_out < p_in <= 1.0):
+        raise ValueError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in} p_out={p_out}")
+    if not 2 <= classes <= n:
+        raise ValueError(f"need 2 <= classes <= n, got classes={classes} n={n}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+
+
 def generate_synthetic(
     n: int,
-    num_classes: int,
+    classes: int,
     p_in: float,
     p_out: float,
     dim: int = 16,
@@ -219,28 +229,23 @@ def generate_synthetic(
     unit vector u_c. Each node also gets a small synthetic document mixing
     class-specific and shared tokens, so text encoders run end to end.
     """
-    if not (0.0 <= p_out < p_in <= 1.0):
-        raise ValueError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in} p_out={p_out}")
-    if num_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if n < num_classes:
-        raise ValueError(f"need n >= num_classes, got n={n} C={num_classes}")
+    check_synthetic(n, classes, p_in, p_out, dim)
 
     root = SplitMix64(seed)
     edge_rng, feat_rng, text_rng = root.split(), root.split(), root.split()
 
-    labels = np.arange(n, dtype=np.int64) % num_classes
+    labels = np.arange(n, dtype=np.int64) % classes
 
     iu, ju = np.triu_indices(n, k=1)
     p = np.where(labels[iu] == labels[ju], p_in, p_out)
     keep = edge_rng.random(iu.shape[0]) < p
     graph = from_edge_list(n, np.stack([iu[keep], ju[keep]], axis=1))
 
-    means = feat_rng.normal((num_classes, dim))
+    means = feat_rng.normal((classes, dim))
     means = sep * means / np.linalg.norm(means, axis=1, keepdims=True)
     features = means[labels] + feat_rng.normal((n, dim))
 
-    class_vocab = [[f"c{c}w{k}" for k in range(6)] for c in range(num_classes)]
+    class_vocab = [[f"c{c}w{k}" for k in range(6)] for c in range(classes)]
     shared_vocab = [f"common{k}" for k in range(8)]
     picks = (text_rng.random((n, 8)) * 6).astype(np.int64)  # 5 class + 3 shared slots
     texts = []
@@ -253,7 +258,7 @@ def generate_synthetic(
         graph,
         features,
         labels,
-        num_classes,
+        classes,
         texts=texts,
-        name=f"synthetic-n{n}-c{num_classes}",
+        name=f"synthetic-n{n}-c{classes}",
     )

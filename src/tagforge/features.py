@@ -29,7 +29,10 @@ from itertools import chain
 
 import numpy as np
 
-ENCODER_KINDS = ("tfidf", "file", "remote")
+# Each encoder kind's own ``EncoderSpec`` fields, besides name and kind.
+ENCODER_KINDS = {"tfidf": ("vocab_size",), "file": ("path",),
+                 "remote": ("endpoint", "model", "batch_size", "cache_dir", "max_in_flight",
+                            "retry_base_delay", "timeout")}
 CACHE_ENV_VAR = "TAGFORGE_CACHE"
 
 _EMB1_MAGIC = b"EMB1"
@@ -72,7 +75,7 @@ class EncoderSpec:
 
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
-            raise ValueError(f"encoder kind must be one of {ENCODER_KINDS}, got {self.kind!r}")
+            raise ValueError(f"encoder kind must be one of {[*ENCODER_KINDS]}, got {self.kind!r}")
         if not self.name:
             raise ValueError("encoder needs a name")
         if not 0 < self.timeout < float("inf"):

@@ -98,7 +98,7 @@ def test_criterion_3_split_protocol_counts():
 
 def test_criterion_4_separable_toy_problem():
     started = time.time()
-    ds = generate_synthetic(n=100, num_classes=2, p_in=1.0, p_out=0.0, dim=16,
+    ds = generate_synthetic(n=100, classes=2, p_in=1.0, p_out=0.0, dim=16,
                             sep=5.0, seed=0)
     split = split_high(ds.num_nodes, seed=0)
     accs = {}
@@ -197,7 +197,7 @@ def test_criterion_6_structure_beats_mlp(cora_accuracies):
 
 
 def test_criterion_7_one_hot_embedding_upper_bound(tmp_path):
-    ds = generate_synthetic(n=150, num_classes=3, p_in=0.6, p_out=0.01, dim=4,
+    ds = generate_synthetic(n=150, classes=3, p_in=0.6, p_out=0.01, dim=4,
                             sep=1.0, seed=5)
     one_hot = np.eye(ds.num_classes, dtype=np.float32)[ds.labels]
     path = str(tmp_path / "onehot.emb")

@@ -3,6 +3,7 @@ table formats, determinism, and exit codes.
 """
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
+from tagforge import bench
 from tagforge.bench import (
     BenchResult,
     CellResult,
@@ -30,9 +32,11 @@ from tagforge.bench import (
     write_outputs,
 )
 from tagforge.cli import main
-from tagforge.data import generate_synthetic
-from tagforge.features import save_embedding_file
+from tagforge.data import generate_synthetic, load_planetoid, split_high, split_low
+from tagforge.features import EncoderSpec, save_embedding_file
 from tagforge.gradcheck import run_gradcheck
+from tagforge.models import ModelSpec
+from tagforge.train import TrainSpec
 
 
 def _write_config(tmp_path, **overrides):
@@ -95,7 +99,7 @@ def test_config_invalid_json(tmp_path):
         ({"archs": ["gat"]}, "unknown arch"),
         ({"encoders": []}, "at least one"),
         ({"split": {"protocol": "mid"}}, "protocol"),
-        ({"dataset": {"kind": "synthetic"}}, "synthetic dataset needs"),
+        ({"dataset": {"kind": "synthetic"}}, "synthetic dataset block needs 'n'"),
         ({"train": {"epochs": 0}}, "train block"),
         ({"output": {"format": "xml"}}, "format"),
         ({"workers": 0}, "workers"),
@@ -163,11 +167,85 @@ def test_config_invalid_json(tmp_path):
         ({"split": {"protocol": "low", "per_class": 0}}, "split block: per_class must be >= 1"),
         ({"split": {"protocol": "low", "n_val": -1}}, "split block: n_val must be >= 1"),
         ({"split": {"protocol": "low", "n_test": -5}}, "split block: n_test must be >= 1"),
+        # synthetic arguments generate_synthetic refuses fail at load
+        *(({"dataset": {"kind": "synthetic", "n": 40, "classes": 2, "p_in": 0.9, "p_out": 0.05,
+                        **bad}}, f"synthetic dataset block: .*{key}")
+          for bad, key in [({"n": -3}, "n=-3"), ({"classes": 1}, "classes=1"),
+                           ({"p_in": 0.05, "p_out": 0.9}, "p_in=0.05 p_out=0.9"),
+                           ({"p_in": 0.5, "p_out": 0.5}, "p_in=0.5 p_out=0.5"),
+                           ({"dim": 0}, "dim must be >= 1, got 0"),
+                           ({"dim": -2}, "dim must be >= 1, got -2")]),
+        # a high split takes no sizes
+        *(({"split": {"protocol": "high", key: 5}}, f"unknown key '{key}' in high split block")
+          for key in ("per_class", "n_val", "n_test")),
+        # a split the dataset (40 nodes, 20 per class) cannot supply, before any run
+        ({"split": {"protocol": "low", "per_class": 25}}, "split block: class 0 has 20 nodes"),
+        ({"split": {"protocol": "low", "per_class": 1, "n_val": 30, "n_test": 30}},
+         "split block: 38 nodes remain"),
+        ({"dataset": {"kind": "synthetic", "n": 4, "classes": 2, "p_in": 0.9, "p_out": 0.05}},
+         "split block: need at least 5 nodes"),
+        # an encoder entry takes only its own kind's fields
+        *(({"encoders": [{"name": "t", "kind": "tfidf", "vocab_size": 4, **bad}]},
+           f"unknown key '{next(iter(bad))}' in tfidf encoder entry")
+          for bad in ({"path": "native.emb"}, {"endpoint": "http://127.0.0.1:9"},
+                      {"batch_size": 0})),
+        ({"encoders": [{"name": "f", "kind": "file", "path": "native.emb", "vocab_size": 4}]},
+         "unknown key 'vocab_size' in file encoder entry"),
+        ({"encoders": [_remote_encoder(vocab_size=4)]},
+         "unknown key 'vocab_size' in remote encoder entry"),
+        # archs and encoders are JSON arrays
+        ({"archs": "gcn"}, "top level: archs: expected a JSON array"),
+        ({"encoders": "tfidf"}, "top level: encoders: expected a JSON array"),
+        ({"archs": {"gcn": 1}}, "top level: archs: expected a JSON array"),
     ],
 )
-def test_config_rejects_bad_blocks(tmp_path, overrides, message):
-    with pytest.raises(ConfigError, match=message):
-        load_config(_write_config(tmp_path, **overrides))
+def test_config_rejects_bad_blocks(tmp_path, capsys, overrides, message):
+    assert main(["bench", "--config", _write_config(tmp_path, **overrides)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("consumer,supplied", [
+    (load_planetoid, ()), (generate_synthetic, ()), (split_low, ("labels", "num_classes", "seed")),
+    (split_high, ("n", "seed")), (EncoderSpec, ()), (TrainSpec, ()),
+    (ModelSpec, ("arch", "in_dim", "num_classes")),
+])
+def test_every_config_parameter_has_a_cast(consumer, supplied):
+    # a new field whose annotation has no cast fails here, not at a user's load
+    keys = [p for p in inspect.signature(consumer).parameters.values() if p.name not in supplied]
+    assert [p.name for p in keys if p.annotation not in bench._CASTS] == []
+    assert list(bench._key_table(consumer, *supplied)) == [p.name for p in keys]
+
+
+@pytest.mark.parametrize("dataset", ["planetoid", "synthetic"])
+def test_config_with_every_documented_key_loads(tmp_path, dataset):
+    from conftest import write_planetoid
+
+    write_planetoid(tmp_path / "ds", "toy", edges=[(0, 1)], labels=[0, 1, 0, 1, 0, 1])
+    datasets = {
+        "planetoid": {"kind": "planetoid", "dir": "ds", "name": "toy"},
+        "synthetic": {"kind": "synthetic", "n": 40, "classes": 2, "p_in": 0.9, "p_out": 0.05,
+                      "dim": 6, "sep": 4.0, "seed": 1},
+    }
+    cfg = load_config(_write_config(
+        tmp_path,
+        dataset=datasets[dataset],
+        encoders=[{"name": "t", "kind": "tfidf", "vocab_size": 8},
+                  {"name": "f", "kind": "file", "path": "native.emb"},
+                  _remote_encoder(batch_size=4, max_in_flight=2, retry_base_delay=0.1,
+                                  timeout=5)],
+        archs=["gcn", "mlp", "graph_transformer"],
+        split={"protocol": "low", "per_class": 1, "n_val": 1, "n_test": 1, "seed": 3},
+        train={"epochs": 5, "patience": 5, "lr": 0.02, "weight_decay": 0.0, "seeds": [0]},
+        model={"layers": 2, "hidden": 8, "heads": 2, "dropout": 0.1},
+        output={"dir": "out", "format": "tex"},
+        workers=2,
+    ))
+    assert cfg.dataset == {**datasets[dataset], **({"dir": str(tmp_path / "ds")}
+                                                   if dataset == "planetoid" else {})}
+    assert [e.kind for e in cfg.encoders] == ["tfidf", "file", "remote"]
+    assert (cfg.encoders[2].batch_size, cfg.encoders[2].timeout) == (4, 5.0)
+    assert cfg.split["seed"] == 3 and cfg.trainspec.lr == 0.02 and cfg.model["heads"] == 2
+    assert (cfg.table_format, cfg.workers) == ("latex", 2)
 
 
 def test_config_accepts_integral_numbers(tmp_path):
@@ -525,6 +603,14 @@ def test_cli_train_matches_one_seed_bench(tmp_path, capsys):
         out = capsys.readouterr().out
         test_acc = next(l for l in out.splitlines() if l.startswith("test_acc="))
         assert test_acc == f"test_acc={float(row['mean_pct']) / 100:.4f}"
+
+
+def test_cli_train_refuses_a_split_the_dataset_cannot_supply(tmp_path, capsys):
+    config = _write_config(tmp_path, split={"protocol": "low", "per_class": 25})
+    assert main(["prepare", "--config", config]) == 0  # prepare draws no split
+    code = main(["train", "--config", config, "--encoder", "native", "--arch", "mlp"])
+    assert code == 2
+    assert "split block: class 0 has 20 nodes, need 25" in capsys.readouterr().err
 
 
 def test_cli_train_bad_feature_file_fails(tmp_path, capsys):

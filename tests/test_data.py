@@ -192,6 +192,13 @@ def test_synthetic_invalid_probabilities(p_in, p_out):
         generate_synthetic(10, 2, p_in, p_out)
 
 
+@pytest.mark.parametrize("n,classes,dim", [(-3, 2, 16), (40, 1, 16), (40, 2, 0), (40, 2, -2)])
+def test_synthetic_refuses_bad_sizes(n, classes, dim):
+    # dim < 1 once gave an (n, 0) feature matrix and a negative draw count
+    with pytest.raises(ValueError):
+        generate_synthetic(n, classes, 0.9, 0.05, dim=dim)
+
+
 def test_homophilous_structure_helps_gcn_over_mlp():
     # features weakly separable, structure strongly informative
     ds = generate_synthetic(200, 3, p_in=0.2, p_out=0.01, dim=16, sep=3.0, seed=0)
