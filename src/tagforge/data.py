@@ -23,6 +23,9 @@ from scipy.sparse import csr_array
 from .graph import from_edge_list
 from .rng import SplitMix64
 
+# generate_synthetic draws about this many node pairs at a time
+_PAIR_BLOCK = 1 << 15
+
 
 class DatasetFormatError(ValueError):
     """On-disk dataset contents are inconsistent or malformed."""
@@ -236,10 +239,18 @@ def generate_synthetic(
 
     labels = np.arange(n, dtype=np.int64) % classes
 
-    iu, ju = np.triu_indices(n, k=1)
-    p = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = edge_rng.random(iu.shape[0]) < p
-    graph = from_edge_list(n, np.stack([iu[keep], ju[keep]], axis=1))
+    # The pair stream is the upper triangle in row-major order, drawn a block
+    # of rows at a time: the same uniforms as one whole-triangle draw, in
+    # O(n + edges) memory.
+    rows = max(1, _PAIR_BLOCK // n)
+    edges = []
+    for start in range(0, n, rows):
+        iu, ju = np.triu_indices(min(rows, n - start), k=start + 1, m=n)
+        iu += start
+        p = np.where(labels[iu] == labels[ju], p_in, p_out)
+        keep = edge_rng.random(iu.shape[0]) < p
+        edges.append(np.stack([iu[keep], ju[keep]], axis=1))
+    graph = from_edge_list(n, np.concatenate(edges))
 
     means = feat_rng.normal((classes, dim))
     means = sep * means / np.linalg.norm(means, axis=1, keepdims=True)

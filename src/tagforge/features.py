@@ -9,7 +9,10 @@ Remote protocol: ``POST <endpoint>/embed`` with JSON body
 ``{"embeddings": [[float]]}`` with one vector per input text, in order.
 Any non-200 status or transport error counts as a failure; failed batches
 are retried with exponential backoff (3 attempts total). A vector that is
-not a flat list of finite numbers fails at once, naming its index. Every
+not a flat list of finite numbers fails at once, naming its index. Batches
+of cache misses start in input order on one pool of ``max_in_flight``
+threads; after a batch fails, or the caller is interrupted, no further
+batch starts, and batches already in flight finish and are cached. Every
 fetched vector is cached as ``<cache_dir>/<sha256 hex>.emb`` (EMB1, n=1), keyed by
 (model id, text), and warm-cache calls issue no requests at all. Returned
 rows are always read back from the cache, so repeat calls are bit-identical.
@@ -20,6 +23,7 @@ import json
 import os
 import re
 import struct
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -228,26 +232,22 @@ def _post_embed(endpoint: str, model: str, texts: list[str], timeout: float):
 
 
 def _fetch_batch(spec: EncoderSpec, texts: list[str]) -> list[np.ndarray]:
-    last_error: Exception | None = None
     for attempt in range(3):
         try:
             vectors = _post_embed(spec.endpoint, spec.model, texts, spec.timeout)
             break
         except RemoteEmbeddingError as exc:
-            last_error = exc
-            if attempt < 2:
-                time.sleep(spec.retry_base_delay * 2**attempt)
-    else:
-        raise RemoteEmbeddingError(
-            f"embedding endpoint {spec.endpoint} failed after 3 attempts: {last_error}"
-        )
+            if attempt == 2:
+                raise RemoteEmbeddingError(
+                    f"embedding endpoint {spec.endpoint} failed after 3 attempts: {exc}"
+                ) from exc
+            time.sleep(spec.retry_base_delay * 2**attempt)
     if not isinstance(vectors, list) or len(vectors) != len(texts):
         raise RemoteEmbeddingError(
             f"endpoint {spec.endpoint} returned {len(vectors) if isinstance(vectors, list) else '?'}"
             f" vectors for {len(texts)} texts"
         )
     rows = []
-    dim = None
     for index, vec in enumerate(vectors):
         try:
             row = np.asarray(vec, dtype=np.float32)
@@ -257,24 +257,22 @@ def _fetch_batch(spec: EncoderSpec, texts: list[str]) -> list[np.ndarray]:
             raise RemoteEmbeddingError(
                 f"endpoint {spec.endpoint} returned a malformed vector at index {index}: {exc}"
             ) from exc
-        row = row.reshape(1, -1)
         if not np.isfinite(row).all():
             raise RemoteEmbeddingError(f"endpoint {spec.endpoint} returned non-finite values")
-        if dim is None:
-            dim = row.shape[1]
-        elif row.shape[1] != dim:
-            raise RemoteEmbeddingError(
-                f"endpoint {spec.endpoint} returned mixed dimensions {dim} and {row.shape[1]}"
-            )
-        rows.append(row)
+        rows.append(row.reshape(1, -1))
+    widths = {row.shape[1] for row in rows}
+    if len(widths) > 1:
+        raise RemoteEmbeddingError(
+            f"endpoint {spec.endpoint} returned mixed dimensions {sorted(widths)}"
+        )
     return rows
 
 
 def remote_embed(spec: EncoderSpec, texts: list[str]) -> np.ndarray:
     """Embed ``texts`` via the remote service, going through the cache.
 
-    Only cache misses generate requests; batches may run concurrently up to
-    ``max_in_flight``, and the output rows follow the input order.
+    Only cache misses generate requests, in batches run as the module
+    docstring says; the output rows follow the input order.
     """
     if spec.kind != "remote":
         raise ValueError(f"remote_embed needs a remote encoder, got kind {spec.kind!r}")
@@ -282,42 +280,39 @@ def remote_embed(spec: EncoderSpec, texts: list[str]) -> np.ndarray:
     os.makedirs(cache_dir, exist_ok=True)
     paths = [os.path.join(cache_dir, _cache_key(spec.model, t) + ".emb") for t in texts]
 
-    missing: list[int] = []
-    seen: set[str] = set()
+    first: dict[str, int] = {}  # each distinct entry, at its first text
     for i, path in enumerate(paths):
-        if not os.path.exists(path) and path not in seen:
-            missing.append(i)
-            seen.add(path)
+        first.setdefault(path, i)
+    missing = [i for path, i in first.items() if not os.path.exists(path)]
 
-    batches = [missing[j : j + spec.batch_size] for j in range(0, len(missing), spec.batch_size)]
+    stop = threading.Event()
 
     def fetch_and_store(batch: list[int]) -> None:
-        rows = _fetch_batch(spec, [texts[i] for i in batch])
-        for i, row in zip(batch, rows):
-            save_embedding_file(paths[i], row)
+        if stop.is_set():
+            return
+        try:
+            rows = _fetch_batch(spec, [texts[i] for i in batch])
+            for i, row in zip(batch, rows):
+                save_embedding_file(paths[i], row)
+        except BaseException:
+            stop.set()  # before this worker can take the next batch
+            raise
 
-    if batches:
-        if spec.max_in_flight == 1:
-            for batch in batches:
-                fetch_and_store(batch)
-        else:
-            with ThreadPoolExecutor(max_workers=spec.max_in_flight) as pool:
-                for future in [pool.submit(fetch_and_store, b) for b in batches]:
-                    future.result()
+    with ThreadPoolExecutor(max_workers=spec.max_in_flight) as pool:
+        futures = [pool.submit(fetch_and_store, missing[j : j + spec.batch_size])
+                   for j in range(0, len(missing), spec.batch_size)]
+        try:
+            for future in futures:
+                future.result()
+        finally:
+            stop.set()
 
     rows = []
-    dim = None
-    for path, text in zip(paths, texts):
-        row = load_embedding_file(path)
-        if row.shape[0] != 1:
+    for path in paths:
+        rows.append(load_embedding_file(path))
+        if rows[-1].shape[0] != 1:
             raise EmbeddingFormatError(f"cache entry {path} is not a single row")
-        if dim is None:
-            dim = row.shape[1]
-        elif row.shape[1] != dim:
-            raise RemoteEmbeddingError(
-                f"cache entries disagree on dimension: {dim} vs {row.shape[1]}"
-            )
-        rows.append(row)
-    if not rows:
-        return np.zeros((0, 0), dtype=np.float32)
-    return np.concatenate(rows, axis=0)
+    widths = {row.shape[1] for row in rows}
+    if len(widths) > 1:
+        raise RemoteEmbeddingError(f"cache entries disagree on dimension: {sorted(widths)}")
+    return np.concatenate(rows, axis=0) if rows else np.zeros((0, 0), dtype=np.float32)

@@ -49,59 +49,50 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
 
 
-def _projection_loss(out: np.ndarray, weights: np.ndarray) -> float:
-    return float((out * weights).sum())
+def _worst_error(call, inputs, params, rng: SplitMix64) -> float:
+    """Worst relative error of ``call``'s backward rule against central
+    differences, over every array in ``inputs`` and every Parameter in
+    ``params``, for the loss sum(out * weights). ``call(*inputs)`` returns
+    (out, backward) and ``backward(weights)`` returns the input gradients,
+    in order (one array alone when there is one input), and deposits the
+    parameter gradients. ``weights`` are the next normals of ``rng``."""
+    out, backward = call(*inputs)
+    weights = rng.normal(np.shape(out))
+    grads = backward(weights)
+    grads = grads if isinstance(grads, tuple) else (grads,)
+
+    def loss():
+        return float((call(*inputs)[0] * weights).sum())
+
+    return max([rel_error(g, numeric_grad(loss, x)) for g, x in zip(grads, inputs, strict=True)]
+               + [rel_error(p.grad, numeric_grad(loss, p.value)) for p in params])
 
 
 def _check_matmul(seed: int) -> float:
     rng = SplitMix64(seed)
-    a = rng.normal((4, 3))
-    b = rng.normal((3, 2))
-    weights = rng.normal((4, 2))
-    out, backward = matmul(a, b)
-    d_a, d_b = backward(weights)
-    errs = [
-        rel_error(d_a, numeric_grad(lambda: _projection_loss(matmul(a, b)[0], weights), a)),
-        rel_error(d_b, numeric_grad(lambda: _projection_loss(matmul(a, b)[0], weights), b)),
-    ]
-    return max(errs)
+    return _worst_error(matmul, [rng.normal((4, 3)), rng.normal((3, 2))], (), rng)
 
 
 def _check_add_bias(seed: int) -> float:
     rng = SplitMix64(seed)
-    x = rng.normal((5, 3))
-    b = rng.normal((1, 3))
-    weights = rng.normal((5, 3))
-    _, backward = add_bias(x, b)
-    d_x, d_b = backward(weights)
-    return max(
-        rel_error(d_x, numeric_grad(lambda: _projection_loss(add_bias(x, b)[0], weights), x)),
-        rel_error(d_b, numeric_grad(lambda: _projection_loss(add_bias(x, b)[0], weights), b)),
-    )
+    return _worst_error(add_bias, [rng.normal((5, 3)), rng.normal((1, 3))], (), rng)
 
 
 def _check_relu(seed: int) -> float:
     rng = SplitMix64(seed)
     # keep samples away from the kink at 0
     x = (rng.random((5, 4)) + 0.1) * np.sign(rng.normal((5, 4)))
-    weights = rng.normal((5, 4))
-    _, backward = relu(x)
-    d_x = backward(weights)
-    return rel_error(d_x, numeric_grad(lambda: _projection_loss(relu(x)[0], weights), x))
+    return _worst_error(relu, [x], (), rng)
 
 
 def _check_dropout(seed: int) -> float:
     rng = SplitMix64(seed)
-    x = rng.normal((6, 4))
-    weights = rng.normal((6, 4))
 
-    def apply_fixed():  # same mask every evaluation: fresh stream, same seed
-        out, _ = dropout(x, 0.6, rng=SplitMix64(seed + 1), training=True)
-        return out
+    def call(x):  # same mask every evaluation: fresh stream, same seed
+        out, mask = dropout(x, 0.6, rng=SplitMix64(seed + 1), training=True)
+        return out, lambda d_out: dropout_backward(mask, d_out)
 
-    out, mask = dropout(x, 0.6, rng=SplitMix64(seed + 1), training=True)
-    d_x = dropout_backward(mask, weights)
-    return rel_error(d_x, numeric_grad(lambda: _projection_loss(apply_fixed(), weights), x))
+    return _worst_error(call, [rng.normal((6, 4))], (), rng)
 
 
 def _check_cross_entropy(seed: int) -> float:
@@ -109,9 +100,12 @@ def _check_cross_entropy(seed: int) -> float:
     logits = rng.normal((6, 4))
     labels = (rng.random(6) * 4).astype(np.int64)
     mask = np.array([0, 2, 3, 5], dtype=np.int64)
-    _, d_logits = cross_entropy(logits, labels, mask)
-    numeric = numeric_grad(lambda: cross_entropy(logits, labels, mask)[0], logits)
-    return rel_error(d_logits, numeric)
+
+    def call(x):
+        loss, d_logits = cross_entropy(x, labels, mask)
+        return loss, lambda d_loss: d_loss * d_logits
+
+    return _worst_error(call, [logits], (), rng)
 
 
 def _check_layer(arch: str, seed: int, heads: int) -> float:
@@ -125,17 +119,7 @@ def _check_layer(arch: str, seed: int, heads: int) -> float:
     params = {
         short: Parameter(rng.normal(shape), short) for short, shape in row.shapes(4, 6).items()
     }
-    weights = rng.normal((6, 6))
-
-    def loss():
-        return _projection_loss(row.call(h, context, params, heads)[0], weights)
-
-    _, backward = row.call(h, context, params, heads)
-    d_h = backward(weights)
-    errs = [rel_error(d_h, numeric_grad(loss, h))]
-    for p in params.values():
-        errs.append(rel_error(p.grad, numeric_grad(loss, p.value)))
-    return max(errs)
+    return _worst_error(lambda x: row.call(x, context, params, heads), [h], params.values(), rng)
 
 
 CHECKS: dict[str, callable] = {

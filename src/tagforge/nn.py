@@ -120,16 +120,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
     return loss, d_logits
 
 
-def _similarities(anchor, other, sim):
-    if sim == "dot":
-        return anchor @ other.T
-    if sim == "cosine":
-        an = np.linalg.norm(anchor, axis=1, keepdims=True)
-        on = np.linalg.norm(other, axis=1, keepdims=True)
-        return (anchor @ other.T) / np.maximum(an * on.T, 1e-30)
-    raise ValueError(f"unknown similarity {sim!r}")
-
-
 def infonce(
     anchor: np.ndarray,
     positive: np.ndarray,
@@ -143,6 +133,8 @@ def infonce(
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
+    if sim not in ("dot", "cosine"):
+        raise ValueError(f"unknown similarity {sim!r}")
     anchor = np.atleast_2d(np.asarray(anchor, dtype=np.float64))
     positive = np.atleast_2d(np.asarray(positive, dtype=np.float64))
     negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
@@ -150,14 +142,13 @@ def infonce(
         raise ValueError("anchor and positive must have matching shapes")
     if negatives.shape[1] != anchor.shape[1]:
         raise ValueError("negative dimension mismatch")
-    s_pos = np.einsum("ij,ij->i", *(
-        (anchor, positive) if sim == "dot" else (
-            anchor / np.maximum(np.linalg.norm(anchor, axis=1, keepdims=True), 1e-30),
-            positive / np.maximum(np.linalg.norm(positive, axis=1, keepdims=True), 1e-30),
+    if sim == "cosine":
+        anchor, positive, negatives = (
+            x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-30)
+            for x in (anchor, positive, negatives)
         )
-    ))
-    s_neg = _similarities(anchor, negatives, sim)
-    scores = np.concatenate([s_pos[:, None], s_neg], axis=1) / tau
+    s_pos = np.einsum("ij,ij->i", anchor, positive)
+    scores = np.concatenate([s_pos[:, None], anchor @ negatives.T], axis=1) / tau
     m = scores.max(axis=1, keepdims=True)
     log_denom = m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))
     return float(np.mean(log_denom - scores[:, 0]))

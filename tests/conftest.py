@@ -22,6 +22,7 @@ from scipy.sparse import csr_array
 
 from tagforge.features import tokenize
 from tagforge.graph import from_edge_list, segment_max, segment_sum, spmm
+from tagforge.rng import SplitMix64
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,17 @@ def random_graph(n: int, p: float, seed: int) -> csr_array:
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.shape[0]) < p
+    return from_edge_list(n, np.stack([iu[keep], ju[keep]], axis=1))
+
+
+def reference_synthetic_graph(n, classes, p_in, p_out, seed) -> csr_array:
+    """``generate_synthetic``'s graph from one draw over the whole upper
+    triangle (every node pair in memory at once)."""
+    edge_rng = SplitMix64(seed).split()
+    labels = np.arange(n, dtype=np.int64) % classes
+    iu, ju = np.triu_indices(n, k=1)
+    p = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = edge_rng.random(iu.shape[0]) < p
     return from_edge_list(n, np.stack([iu[keep], ju[keep]], axis=1))
 
 

@@ -3,13 +3,16 @@ table formats, determinism, and exit codes.
 """
 
 import csv
+import importlib
 import inspect
 import io
 import json
 import os
 import re
 import stat
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -747,3 +750,30 @@ def test_cli_full_matrix_on_planetoid_dataset(tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO((tmp_path / "out" / "bench.csv").read_text())))
     assert {r["dataset"] for r in rows} == {"toy"}
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_perfbench_tracer_wraps_only_names_that_exist(monkeypatch):
+    """``perfbench/run.py --trace 1`` wraps tagforge names in place, a
+    superset of those its untraced ``Probe`` wraps; a name deleted or renamed
+    here would break the traced benchmark, so it fails this test instead."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        tracing = importlib.import_module("tracing")
+    finally:
+        sys.modules.pop("tracing", None)
+    patched = []
+
+    class Recording(tracing.Patches):
+        def patch(self, owner, attr, make):
+            patched.append((owner, attr, getattr(owner, attr)))
+            super().patch(owner, attr, make)
+
+    patches = Recording()
+    try:
+        tracing.Tracer().install(patches)
+    finally:
+        patches.restore()
+    probe_names = {("tagforge.bench", "run_cell"), ("tagforge.bench", "train"),
+                   ("tagforge.train", "forward_backward")}
+    assert probe_names <= {(owner.__name__, attr) for owner, attr, _ in patched}
+    assert all(getattr(owner, attr) is original for owner, attr, original in patched)

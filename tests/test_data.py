@@ -1,11 +1,14 @@
 """Dataset loading, split protocols, and the synthetic generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_graph, write_planetoid
+from conftest import assert_graph, reference_synthetic_graph, write_planetoid
+from tagforge import data
 from tagforge.data import (
     DatasetFormatError,
     generate_synthetic,
@@ -184,6 +187,34 @@ def test_synthetic_invariants():
     assert counts.max() - counts.min() <= 1
     assert np.isfinite(ds.features).all()
     assert len(ds.texts) == 31
+
+
+@pytest.mark.parametrize("block", [7, data._PAIR_BLOCK])
+@pytest.mark.parametrize(
+    "n,classes,p_in,p_out,seed",
+    [(2, 2, 1.0, 0.9, 0), (2, 2, 0.9, 0.0, 3), (31, 4, 0.6, 0.05, 2), (97, 3, 0.3, 0.02, 11),
+     (700, 7, 0.05, 0.002, 5), (700, 2, 1.0, 0.0, 1)],
+)
+def test_synthetic_graph_equals_the_whole_triangle_draw(
+    monkeypatch, n, classes, p_in, p_out, seed, block
+):
+    monkeypatch.setattr(data, "_PAIR_BLOCK", block)
+    got = generate_synthetic(n, classes, p_in, p_out, dim=2, seed=seed).graph
+    want = reference_synthetic_graph(n, classes, p_in, p_out, seed)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+def test_synthetic_graph_memory_grows_with_edges_not_pairs():
+    # 4.5 million node pairs, about 210 MB if drawn at once
+    tracemalloc.start()
+    try:
+        ds = generate_synthetic(3000, 7, p_in=0.00827, p_out=0.000344, dim=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.graph.nnz > 0
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("p_in,p_out", [(0.5, 0.5), (0.2, 0.3), (1.2, 0.0), (0.5, -0.1)])

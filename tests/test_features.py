@@ -312,6 +312,19 @@ def test_remote_embed_fails_after_three_attempts(embed_server, tmp_path):
     assert len(embed_server.requests) == 3
 
 
+@pytest.mark.parametrize("max_in_flight, most", [(1, 3), (2, 6)])
+def test_remote_embed_starts_no_batch_after_one_fails(
+    embed_server, tmp_path, max_in_flight, most
+):
+    # six single-text batches: the first failure (3 attempts) stops the rest,
+    # and only batches already in flight make their own attempts
+    embed_server.set_failures(100)
+    spec = _remote_spec(embed_server, tmp_path, batch_size=1, max_in_flight=max_in_flight)
+    with pytest.raises(RemoteEmbeddingError, match="3 attempts"):
+        remote_embed(spec, [f"text-{i}" for i in range(6)])
+    assert 3 <= len(embed_server.requests) <= most
+
+
 def test_remote_embed_dead_endpoint_names_it(tmp_path):
     spec = EncoderSpec(
         name="svc", kind="remote", endpoint="http://127.0.0.1:9", model="m",

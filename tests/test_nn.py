@@ -199,6 +199,12 @@ def test_infonce_rejects_bad_tau():
             infonce(x, x, x, tau=tau)
 
 
+def test_infonce_rejects_unknown_similarity():
+    x = np.ones((1, 2))
+    with pytest.raises(ValueError, match="unknown similarity"):
+        infonce(x, x, x, tau=1.0, sim="euclidean")
+
+
 def test_parameter_grad_accumulation():
     p = Parameter(np.zeros((2, 2)), "w")
     assert p.grad is None
