@@ -224,6 +224,9 @@ def _post_embed(endpoint: str, model: str, texts: list[str], timeout: float):
             if response.status != 200:
                 raise RemoteEmbeddingError(f"{url}: HTTP {response.status}")
             payload = json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        exc.close()  # the error holds the response and its socket
+        raise RemoteEmbeddingError(f"{url}: {exc}") from exc
     except (urllib.error.URLError, OSError, json.JSONDecodeError, ValueError) as exc:
         raise RemoteEmbeddingError(f"{url}: {exc}") from exc
     if not isinstance(payload, dict) or "embeddings" not in payload:

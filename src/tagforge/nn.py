@@ -86,7 +86,10 @@ def dropout(x: np.ndarray, keep_prob: float, rng=None, training: bool = True):
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
     if not training or keep_prob == 1.0:
         return x, None
-    mask = (rng.random(x.shape) < keep_prob).astype(x.dtype) * (1.0 / keep_prob)
+    mask = rng.random(x.shape)  # the mask is built in the uniforms' array
+    np.less(mask, keep_prob, out=mask)
+    mask *= 1.0 / keep_prob
+    mask = mask.astype(x.dtype, copy=False)
     return x * mask, mask
 
 

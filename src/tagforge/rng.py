@@ -11,8 +11,8 @@ where ``mix64`` is the finalizer::
     z ^= z >> 27;  z *= 0x94D049BB133111EB
     z ^= z >> 31
 
-Because each output depends only on (seed, counter), whole blocks are
-produced in one vectorized pass, and the exact sequence can be reproduced
+Because each output depends only on (seed, counter), draws are produced
+in vectorized, cache-sized blocks, and the exact sequence can be reproduced
 from the rules above in any language. Derived quantities are pinned down
 too, so data splits and synthetic datasets are portable across
 implementations:
@@ -32,10 +32,18 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+_BLOCK = 1 << 14  # draws per pass: a block and its scratch stay in L2
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * _GOLDEN  # k * golden, k = 1..B
+
+
+def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
+    """Apply the mix64 finalizer to ``z`` in place; ``tmp`` is scratch of its size."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 class SplitMix64:
@@ -45,11 +53,25 @@ class SplitMix64:
         self._seed = np.uint64(int(seed) & _MASK64)
         self._count = 0
 
+    def _blocks(self, n: int):
+        """Advance the counter by ``n``; yield (offset, raw block) pairs
+        covering those outputs. Blocks share one buffer: use each before
+        asking for the next."""
+        buf = np.empty((2, min(n, _BLOCK)), dtype=np.uint64)
+        for start in range(0, n, _BLOCK):
+            z, tmp = buf[:, : min(_BLOCK, n - start)]
+            base = (int(self._seed) + self._count * int(_GOLDEN)) & _MASK64
+            self._count += z.shape[0]
+            np.add(_STEPS[: z.shape[0]], np.uint64(base), out=z)
+            _mix64_into(z, tmp)
+            yield start, z
+
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
-        ks = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        self._count += n
-        return _mix64(self._seed + ks * _GOLDEN)
+        out = np.empty(n, dtype=np.uint64)
+        for start, z in self._blocks(n):
+            out[start : start + z.shape[0]] = z
+        return out
 
     def next_u64(self) -> int:
         return int(self.raw(1)[0])
@@ -63,9 +85,12 @@ class SplitMix64:
         if shape is None:
             return float(self.raw(1)[0] >> np.uint64(11)) * 2.0**-53
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
-        u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return u.reshape(shape)
+        u = np.empty(shape, dtype=np.float64)
+        flat = u.reshape(-1)
+        for start, z in self._blocks(flat.shape[0]):
+            np.right_shift(z, np.uint64(11), out=z)
+            np.multiply(z, 2.0**-53, out=flat[start : start + z.shape[0]])
+        return u
 
     def normal(self, shape=None):
         """Standard normals via Box-Muller, scalar or array of ``shape``."""

@@ -5,6 +5,9 @@ on the train mask, a full backward pass, one Adam step, then a validation
 accuracy check. That validation forward hands its layer-0 output and
 backward to the next epoch's training forward, so layer 0 runs once per
 epoch; nothing changes between the two calls, so results are bit-identical.
+The training forward's tape is dropped as soon as its backward has run, so
+one tape at most is alive, and ``train`` fixes glibc's malloc thresholds so
+that freed tapes are reused rather than returned to the kernel.
 Training stops after ``patience`` consecutive epochs without a new best
 validation accuracy, or at the epoch cap; the run's ``stop_reason`` says
 which (``"patience"`` or ``"epoch_cap"``). The reported test accuracy
@@ -18,6 +21,7 @@ matching common GNN framework defaults. Early stopping monitors validation
 accuracy, the quantity the benchmark reports.
 """
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +34,8 @@ from .rng import SplitMix64
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter numbers
+_M_MMAP_THRESHOLD = -3
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,22 @@ def run_log_lines(result: RunResult) -> list[str]:
     ]
 
 
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at 32 and 64 MiB (idempotent).
+
+    glibc's defaults move with the sizes it frees, so an epoch's freed
+    arrays would be trimmed or unmapped and faulted back in, more or less
+    often by allocation history. A libc without ``mallopt`` is left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def train(
     model: Model,
     dataset: Dataset,
@@ -139,6 +161,7 @@ def train(
     init_parameters does not replay the same random values.
     """
     split.validate(dataset.num_nodes)
+    _fix_malloc_thresholds()
     needs_context = ARCH_TABLE[model.spec.arch].needs_context
     context = build_context(dataset.graph) if needs_context else None
     rng = SplitMix64(seed).split()
@@ -160,6 +183,7 @@ def train(
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss {loss} at epoch {epoch}")
         backward(d_logits)
+        del logits, backward, d_logits  # the tape, before evaluate builds its own
         adam_step(model.parameters, state, spec)
         val_acc = evaluate(model, dataset, split.val, context, layer0)
         losses.append(loss)

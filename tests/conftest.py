@@ -180,6 +180,17 @@ def reference_gt_layer(h, context, params, heads):
     return out, backward
 
 
+def reference_raw(seed: int, start: int, n: int) -> np.ndarray:
+    """SplitMix64 outputs ``start + 1`` to ``start + n`` of stream ``seed``,
+    mixed in one whole-array pass: the formula ``SplitMix64.raw`` had before
+    it ran in blocks."""
+    ks = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + ks * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def random_graph(n: int, p: float, seed: int) -> csr_array:
     """Erdos-Renyi graph via numpy's own generator (independent of tagforge)."""
     rng = np.random.default_rng(seed)

@@ -1,10 +1,12 @@
 """Text encoders, the EMB1 container, and the remote embedding client."""
 
+import gc
 import math
 import os
 import re
 import struct
 import urllib.request
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +312,23 @@ def test_remote_embed_fails_after_three_attempts(embed_server, tmp_path):
     with pytest.raises(RemoteEmbeddingError, match="3 attempts"):
         remote_embed(spec, ["x"])
     assert len(embed_server.requests) == 3
+
+
+def test_remote_embed_closes_failed_responses(embed_server, tmp_path):
+    # an unclosed HTTP error leaves its socket to the garbage collector,
+    # which reports it as a ResourceWarning
+    embed_server.set_failures(5)
+    spec = _remote_spec(embed_server, tmp_path, batch_size=8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            remote_embed(spec, ["x"])
+        except RemoteEmbeddingError:
+            pass
+        else:
+            pytest.fail("a failing endpoint must raise")
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.mark.parametrize("max_in_flight, most", [(1, 3), (2, 6)])

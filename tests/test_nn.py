@@ -92,6 +92,18 @@ def test_dropout_monte_carlo_mean():
     assert set(np.unique(out)) <= {0.0, 2.0}
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("keep_prob", [0.1, 0.5, 0.7, 0.9, 0.999])
+def test_dropout_mask_is_the_scaled_comparison(keep_prob, dtype):
+    x = SplitMix64(1).normal((300, 70)).astype(dtype)
+    x[0], x[1] = 0.0, -0.0  # signed zeros must survive both mask values
+    out, mask = dropout(x, keep_prob, rng=SplitMix64(2))
+    u = SplitMix64(2).random(x.shape)
+    expected = (u < keep_prob).astype(dtype) * (1.0 / keep_prob)
+    assert mask.dtype == dtype and mask.tobytes() == expected.tobytes()
+    assert out.dtype == dtype and out.tobytes() == (x * expected).tobytes()
+
+
 def test_dropout_deterministic_per_stream():
     x = np.ones((20, 20))
     a, _ = dropout(x, 0.7, rng=SplitMix64(5), training=True)

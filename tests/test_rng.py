@@ -5,9 +5,11 @@ rules reproduces the same streams.
 
 import numpy as np
 import pytest
+from conftest import reference_raw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagforge import rng
 from tagforge.rng import SplitMix64
 
 MASK = (1 << 64) - 1
@@ -28,6 +30,25 @@ def reference_splitmix(seed: int, count: int) -> list[int]:
 @settings(max_examples=50, deadline=None)
 def test_matches_documented_algorithm(seed):
     assert SplitMix64(seed).raw(6).tolist() == reference_splitmix(seed, 6)
+
+
+# counters and lengths on both sides of the block edges
+_EDGES = (0, 1, rng._BLOCK - 1, rng._BLOCK, rng._BLOCK + 1, 3 * rng._BLOCK + 5)
+
+
+@pytest.mark.parametrize("start", _EDGES)
+def test_blocked_draws_match_the_whole_array_formula(start):
+    seed = 0xDEADBEEF12345678
+    for n in _EDGES:
+        expected = reference_raw(seed, start, n)
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        a.raw(start)
+        b.raw(start)
+        assert np.array_equal(a.raw(n), expected)
+        u = b.random(n)
+        assert u.dtype == np.float64
+        assert np.array_equal(u, (expected >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        assert a.raw(1)[0] == b.raw(1)[0] == reference_raw(seed, start + n, 1)[0]
 
 
 def test_block_generation_equals_single_steps():

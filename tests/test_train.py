@@ -1,7 +1,14 @@
 """Optimizer math, the training protocol, evaluation, aggregation."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,3 +422,88 @@ def test_run_log_lines_field_order():
     result = RunResult(0.9, 0.8, 2, "epoch_cap", loss_curve=[0.5, 0.25], val_curve=[0.7, 0.9])
     lines = run_log_lines(result)
     assert lines == ["1\t0.500000\t0.700000", "2\t0.250000\t0.900000"]
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced bytes above the level at the call's start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_train_keeps_one_tape_alive(arch):
+    # a tape still alive into the next epoch's forward would put two tapes
+    # (about 1.6x one step's peak) under train's peak
+    dataset = generate_synthetic(800, 7, 0.02, 0.001, dim=32, seed=0)
+    split = split_high(dataset.num_nodes, seed=0)
+    spec = ModelSpec(arch, in_dim=32, num_classes=7)
+    model = init_parameters(spec, 0)
+    context = build_context(dataset.graph) if ARCH_TABLE[arch].needs_context else None
+
+    def step():
+        logits, backward = forward_backward(model, dataset, context, True, SplitMix64(1))
+        backward(cross_entropy(logits, dataset.labels, split.train)[1])
+
+    step_peak = _traced_peak(step)
+    model = init_parameters(spec, 0)
+    run = lambda: train(model, dataset, split, TrainSpec(epochs=5, patience=5), seed=0)
+    assert _traced_peak(run) <= 1.25 * step_peak
+
+
+_MALLOPT_PROBE = textwrap.dedent("""
+    import ctypes, importlib, json, pkgutil, sys
+
+    real_cdll = ctypes.CDLL
+    calls = []
+
+    class RecordingCDLL:
+        def __init__(self, name, *args, **kwargs):
+            self._lib = real_cdll(name, *args, **kwargs)
+
+        def __getattr__(self, attr):
+            if attr != "mallopt":
+                return getattr(self._lib, attr)
+            if sys.argv[1] == "missing":
+                raise AttributeError(attr)
+            return lambda param, value: calls.append([param, value]) or 1
+
+    ctypes.CDLL = RecordingCDLL
+    import tagforge
+    for module in pkgutil.iter_modules(tagforge.__path__):
+        importlib.import_module("tagforge." + module.name)
+    at_import = list(calls)
+
+    from tagforge.data import generate_synthetic, split_high
+    from tagforge.models import ModelSpec, init_parameters
+    from tagforge.train import TrainSpec, train
+
+    dataset = generate_synthetic(60, 3, 0.2, 0.02, dim=8, seed=0)
+    model = init_parameters(ModelSpec("gcn", in_dim=8, num_classes=3, hidden=8), 0)
+    result = train(model, dataset, split_high(60), TrainSpec(epochs=3, patience=3))
+    print(json.dumps({"at_import": at_import, "calls": calls, "losses": result.loss_curve}))
+""")
+
+
+def _mallopt_probe(libc: str) -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MALLOPT_PROBE, libc],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_train_fixes_malloc_thresholds_and_import_does_not():
+    probe = _mallopt_probe("glibc")
+    assert probe["at_import"] == []
+    m_mmap_threshold, m_trim_threshold = -3, -1
+    assert probe["calls"] == [[m_mmap_threshold, 32 << 20], [m_trim_threshold, 64 << 20]]
+    without = _mallopt_probe("missing")
+    assert without["calls"] == []
+    assert without["losses"] == probe["losses"]
