@@ -265,7 +265,9 @@ def graph_transformer_layer(
     exps = np.exp(shifted)
     alpha = exps / per_entry(segment_sum(exps, offsets))
 
-    out = aggregate(head_csr(alpha), v) + h @ params["W_S"].value + params["b"].value
+    out = h @ params["W_S"].value  # addition commutes: the bits of (agg + hW) + b
+    out += aggregate(head_csr(alpha), v)
+    out += params["b"].value
 
     def backward(d_out, input_grad: bool = True):
         params["b"].add_grad(d_out.sum(axis=0, keepdims=True))
@@ -273,19 +275,25 @@ def graph_transformer_layer(
         d_h = d_out @ params["W_S"].value.T if input_grad else None
 
         d_msg = d_out.reshape(n, heads, d_head)
-        d_alpha = entry_dots(d_msg, v)
         d_v = aggregate(head_csr(alpha).T, d_msg)  # rebuilt: keeping it put a copy on every tape
+        params["W_V"].add_grad(h.T @ d_v)
 
         # softmax backward per neighborhood segment
+        d_alpha = entry_dots(d_msg, v)
         inner = segment_sum(alpha * d_alpha, offsets)
         d_scores = head_csr(alpha * (d_alpha - per_entry(inner)) * inv_sqrt)
-        d_q = aggregate(d_scores, k)
-        d_k = aggregate(d_scores.T, q)
+        del d_alpha, inner
 
-        for short, d_proj in (("W_Q", d_q), ("W_K", d_k), ("W_V", d_v)):
+        # d_h sums the W_S, W_Q, W_K, W_V terms in order; d_q and d_k live one at a time
+        for short, m, x in (("W_Q", d_scores, k), ("W_K", d_scores.T, q)):
+            d_proj = aggregate(m, x)
             params[short].add_grad(h.T @ d_proj)
             if input_grad:
-                d_h = d_h + d_proj @ params[short].value.T
+                d_h += d_proj @ params[short].value.T
+            del d_proj
+        del d_scores, m  # m is the last transposed view of d_scores
+        if input_grad:
+            d_h += d_v @ params["W_V"].value.T
         return d_h
 
     return out, backward
@@ -332,7 +340,7 @@ def forward_backward(
     rng: SplitMix64 | None = None,
     layer0: list | None = None,
 ):
-    """Full forward pass; returns (logits, backward).
+    """Full forward pass; returns (logits, backward), backward None unless ``training``.
 
     Hidden layers apply {layer -> ReLU -> dropout}; the final layer emits
     raw logits. ``dataset.features`` may be an ndarray or a
@@ -340,6 +348,12 @@ def forward_backward(
     accumulates parameter gradients and returns None: the features are not
     trained, so layer 0 runs with ``input_grad=False`` and skips the
     gradient at its input.
+
+    Only a training forward keeps a tape: each layer's closure (with what it
+    saved), ReLU gate and dropout mask; evaluation drops them before the
+    next layer runs. ``backward`` pops each closure before calling it, so a
+    layer's saved arrays are freed once its gradient has passed; it runs
+    once, and a second call raises RuntimeError.
 
     ``layer0`` hands layer 0's ``(out, backward)`` pair from an evaluation
     forward, which appends it, to the next training forward, which pops it
@@ -368,21 +382,28 @@ def forward_backward(
             h, back = arch.call(h, context, params, heads)
             if layer == 0 and not training and layer0 is not None:
                 layer0.append((h, back))
-        tape.append(back)
+        if training:
+            tape.append(back)
+        del back
         if layer < spec.layers - 1:
             h, relu_back = relu(h)
-            tape.append(relu_back)
             if training:
+                tape.append(relu_back)
                 h, mask = dropout(h, keep_prob, rng=rng, training=True)
                 tape.append(lambda d, m=mask: dropout_backward(m, d))
+            del relu_back
 
     def backward(d_logits):
+        if not tape:
+            raise RuntimeError("backward runs once: it frees its tape as it walks it")
+        walk = tape.copy()
+        tape.clear()
         d = d_logits
-        for back in reversed(tape[1:]):
-            d = back(d)
-        tape[0](d, input_grad=False)  # layer 0
+        while len(walk) > 1:
+            d = walk.pop()(d)
+        walk.pop()(d, input_grad=False)  # layer 0
 
-    return h, backward
+    return h, (backward if training else None)
 
 
 def forward(

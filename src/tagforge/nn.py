@@ -4,6 +4,10 @@ Each operation returns ``(output, backward)`` where ``backward`` maps the
 loss gradient at the output to gradients at the inputs, in argument order.
 There is no general tape here: models assemble these closures themselves
 and walk them in reverse. All math is float64 unless callers pass float32.
+
+``dropout`` alone has no closure: it returns ``(output, mask)``, ``mask`` a
+``(keep, scale)`` pair or None, and ``dropout_backward(mask, d_out)`` is its
+rule, so perfbench's tracer times both passes by wrapping the two names.
 """
 
 import numpy as np
@@ -78,23 +82,27 @@ def relu(x: np.ndarray):
 def dropout(x: np.ndarray, keep_prob: float, rng=None, training: bool = True):
     """Inverted dropout: returns (output, mask), survivors scaled by 1/keep_prob.
 
-    ``mask`` is the 0/1 keep mask already times 1/keep_prob, or None for the
-    identity (evaluation mode or keep_prob == 1). ``x * mask`` is bit-equal
-    to scaling the masked ``x``, signed zeros included.
+    ``mask`` is ``(keep, scale)``, the bool array ``u < keep_prob`` of the
+    uniforms ``u`` and 1/keep_prob, or None for the identity (evaluation mode
+    or keep_prob == 1). The float mask is a temporary in ``u``'s buffer; ``x``
+    times it is bit-equal to scaling the masked ``x``, signed zeros included.
     """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
     if not training or keep_prob == 1.0:
         return x, None
-    mask = rng.random(x.shape)  # the mask is built in the uniforms' array
-    np.less(mask, keep_prob, out=mask)
-    mask *= 1.0 / keep_prob
-    mask = mask.astype(x.dtype, copy=False)
-    return x * mask, mask
+    u = rng.random(x.shape)
+    keep, scale = u < keep_prob, 1.0 / keep_prob
+    mask = np.multiply(keep, scale, out=u).astype(x.dtype, copy=False)
+    return np.multiply(x, mask, out=mask), (keep, scale)
 
 
-def dropout_backward(mask: np.ndarray | None, d_out: np.ndarray) -> np.ndarray:
-    return d_out if mask is None else d_out * mask
+def dropout_backward(mask: tuple[np.ndarray, float] | None, d_out: np.ndarray) -> np.ndarray:
+    """``d_out * (keep * scale)``, the float mask rebuilt in ``d_out``'s dtype."""
+    if mask is None:
+        return d_out
+    d_in = np.multiply(*mask, dtype=d_out.dtype)
+    return np.multiply(d_out, d_in, out=d_in)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):

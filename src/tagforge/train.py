@@ -5,9 +5,10 @@ on the train mask, a full backward pass, one Adam step, then a validation
 accuracy check. That validation forward hands its layer-0 output and
 backward to the next epoch's training forward, so layer 0 runs once per
 epoch; nothing changes between the two calls, so results are bit-identical.
-The training forward's tape is dropped as soon as its backward has run, so
-one tape at most is alive, and ``train`` fixes glibc's malloc thresholds so
-that freed tapes are reused rather than returned to the kernel.
+The training forward's backward frees its tape as it walks it, and the
+validation forward keeps none, so one tape at most is alive, and ``train``
+fixes glibc's malloc thresholds so that freed tapes are reused rather than
+returned to the kernel.
 Training stops after ``patience`` consecutive epochs without a new best
 validation accuracy, or at the epoch cap; the run's ``stop_reason`` says
 which (``"patience"`` or ``"epoch_cap"``). The reported test accuracy
@@ -182,8 +183,7 @@ def train(
         loss, d_logits = cross_entropy(logits, dataset.labels, split.train)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss {loss} at epoch {epoch}")
-        backward(d_logits)
-        del logits, backward, d_logits  # the tape, before evaluate builds its own
+        backward(d_logits)  # frees the tape as it goes
         adam_step(model.parameters, state, spec)
         val_acc = evaluate(model, dataset, split.val, context, layer0)
         losses.append(loss)

@@ -12,6 +12,7 @@ from tagforge.nn import (
     Parameter,
     cross_entropy,
     dropout,
+    dropout_backward,
     infonce,
     matmul,
     relu,
@@ -95,13 +96,23 @@ def test_dropout_monte_carlo_mean():
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("keep_prob", [0.1, 0.5, 0.7, 0.9, 0.999])
 def test_dropout_mask_is_the_scaled_comparison(keep_prob, dtype):
-    x = SplitMix64(1).normal((300, 70)).astype(dtype)
-    x[0], x[1] = 0.0, -0.0  # signed zeros must survive both mask values
-    out, mask = dropout(x, keep_prob, rng=SplitMix64(2))
-    u = SplitMix64(2).random(x.shape)
+    u = SplitMix64(2).random((300, 70))
     expected = (u < keep_prob).astype(dtype) * (1.0 / keep_prob)
-    assert mask.dtype == dtype and mask.tobytes() == expected.tobytes()
-    assert out.dtype == dtype and out.tobytes() == (x * expected).tobytes()
+    x = SplitMix64(1).normal(u.shape).astype(dtype)
+    d = SplitMix64(3).normal(u.shape).astype(dtype)
+    # at five dropped and five kept entries: signed zeros must survive both
+    # mask values, and inf or NaN must give the float product's bits
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype)
+    for at in (np.flatnonzero(u >= keep_prob)[:5], np.flatnonzero(u < keep_prob)[:5]):
+        x.flat[at] = d.flat[at] = specials
+    with np.errstate(invalid="ignore"):  # inf * 0
+        out, (keep, scale) = dropout(x, keep_prob, rng=SplitMix64(2))
+        d_in = dropout_backward((keep, scale), d)
+        want_out, want_d_in = x * expected, d * expected
+    assert keep.dtype == bool and np.array_equal(keep, u < keep_prob)
+    assert scale == 1.0 / keep_prob
+    assert out.dtype == dtype and out.tobytes() == want_out.tobytes()
+    assert d_in.dtype == dtype and d_in.tobytes() == want_d_in.tobytes()
 
 
 def test_dropout_deterministic_per_stream():

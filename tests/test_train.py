@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +454,58 @@ def test_train_keeps_one_tape_alive(arch):
     model = init_parameters(spec, 0)
     run = lambda: train(model, dataset, split, TrainSpec(epochs=5, patience=5), seed=0)
     assert _traced_peak(run) <= 1.25 * step_peak
+
+
+def test_evaluate_keeps_no_tape():
+    # evaluate at or above half a training step's peak means it kept a tape:
+    # on this graph that ratio read 0.60 with every closure kept, 0.39 without
+    dataset = generate_synthetic(800, 7, 0.02, 0.001, dim=32, seed=0)
+    split = split_high(dataset.num_nodes, seed=0)
+    model = init_parameters(ModelSpec("graph_transformer", in_dim=32, num_classes=7), 0)
+    context = build_context(dataset.graph)
+
+    def step():
+        logits, backward = forward_backward(model, dataset, context, True, SplitMix64(1))
+        backward(cross_entropy(logits, dataset.labels, split.train)[1])
+
+    step_peak = _traced_peak(step)
+    assert _traced_peak(lambda: evaluate(model, dataset, split.val, context)) < 0.5 * step_peak
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_backward_frees_the_tape_as_it_walks_it(arch, monkeypatch):
+    name = f"{arch}_layer"
+    refs = []  # a weakref to each layer closure, in call order
+    dead_above = []  # per backward call: whether each later layer's closure is dead
+
+    def spy(*args):
+        out, back = real(*args)
+        later = len(refs) + 1
+
+        def observed(*a, **kw):
+            dead_above.append([ref() is None for ref in refs[later:]])
+            return back(*a, **kw)
+
+        refs.append(weakref.ref(back))
+        return out, observed
+
+    real = getattr(models, name)
+    monkeypatch.setattr(models, name, spy)
+    dataset = generate_synthetic(40, 3, 0.2, 0.02, dim=6, seed=0)
+    model = init_parameters(ModelSpec(arch, in_dim=6, num_classes=3, hidden=8, heads=2), 0)
+    context = build_context(dataset.graph)
+    logits, backward = forward_backward(model, dataset, context, True, SplitMix64(1))
+    backward(np.ones_like(logits))
+    assert dead_above == [[True] * k for k in range(4)]
+    assert all(ref() is None for ref in refs)
+    with pytest.raises(RuntimeError):
+        backward(np.ones_like(logits))
+
+    refs.clear()
+    layer0 = []
+    evaluate(model, dataset, np.arange(40), context, layer0)
+    assert [ref() is None for ref in refs] == [False, True, True, True]
+    assert forward_backward(model, dataset, context)[1] is None
 
 
 _MALLOPT_PROBE = textwrap.dedent("""
