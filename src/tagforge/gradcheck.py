@@ -108,16 +108,17 @@ def _check_cross_entropy(seed: int) -> float:
     return _worst_error(call, [logits], (), rng)
 
 
-def _check_layer(arch: str, seed: int, heads: int) -> float:
-    """One arch's layer call on a 6-node graph, 4 -> 6 wide, with the table's
-    parameter shapes, random non-zero biases and ``heads`` heads."""
+def _check_layer(arch: str, seed: int, heads: int, d_in: int = 4, d_out: int = 6) -> float:
+    """One arch's layer call on a 6-node graph, ``d_in -> d_out`` wide, with
+    the table's parameter shapes, random non-zero biases and ``heads`` heads."""
     row = ARCH_TABLE[arch]
     rng = SplitMix64(seed)
     graph = generate_synthetic(6, 2, p_in=0.9, p_out=0.4, dim=3, sep=1.0, seed=seed).graph
     context = build_context(graph)
-    h = rng.normal((6, 4))
+    h = rng.normal((6, d_in))
     params = {
-        short: Parameter(rng.normal(shape), short) for short, shape in row.shapes(4, 6).items()
+        short: Parameter(rng.normal(shape), short)
+        for short, shape in row.shapes(d_in, d_out).items()
     }
     return _worst_error(lambda x: row.call(x, context, params, heads), [h], params.values(), rng)
 
@@ -132,9 +133,11 @@ CHECKS: dict[str, callable] = {
         f"{arch}_layer": partial(_check_layer, arch, heads=2 if ARCH_TABLE[arch].multi_head else 1)
         for arch in ARCHITECTURES
     },
-    # one head is the final layer's layout of a multi-head arch
+    # the final layer of a multi-head arch: one head, wider in than out. The
+    # graph transformer saves its projections here and recomputes them in
+    # backward at the narrower 4 -> 6 input above, so both paths are checked.
     **{
-        f"{arch}_layer_1head": partial(_check_layer, arch, heads=1)
+        f"{arch}_layer_1head": partial(_check_layer, arch, heads=1, d_in=6, d_out=4)
         for arch in ARCHITECTURES
         if ARCH_TABLE[arch].multi_head
     },

@@ -219,11 +219,23 @@ def graph_transformer_layer(
     symmetric. The per-entry dot products (scores, ``d_alpha``) run one
     ``_BLOCK_BYTES`` block of entries at a time, each entry still one
     einsum over its d_head values.
+
+    Backward reads ``h``, the attention weights ``alpha`` and the
+    projections ``q, k, v = h @ W_{Q,K,V}``, dropping each after its last
+    reader: ``v`` after ``d_alpha``, ``alpha`` after ``d_scores``, ``k``
+    after ``d_q``, ``q`` after ``d_k``. The projections are saved only when
+    ``d_in >= width`` (``W_Q``'s shape); backward recomputes those of a
+    narrower input, which costs three products of the narrow input and
+    frees three wider arrays. Only layer 0 can be narrower, and its pair
+    also waits from ``evaluate`` to the next training forward, so its
+    projections would sit under every phase's peak. Results are
+    bit-identical either way. Precondition: backward runs once, before the
+    parameters or ``h`` change; ``train.train`` runs it before Adam's step.
     """
     n = context.adj.shape[0]
     if h.shape[0] != n:
         raise ValueError(f"feature rows {h.shape[0]} != num_nodes {n}")
-    width = params["W_Q"].shape[1]
+    d_in, width = params["W_Q"].shape
     if width % heads != 0:
         raise ValueError(f"attention width {width} not divisible by heads {heads}")
     d_head = width // heads
@@ -232,9 +244,11 @@ def graph_transformer_layer(
     degrees = np.diff(offsets)
     index = context.head_index(heads)
 
-    q = (h @ params["W_Q"].value).reshape(n, heads, d_head)
-    k = (h @ params["W_K"].value).reshape(n, heads, d_head)
-    v = (h @ params["W_V"].value).reshape(n, heads, d_head)
+    def project(short):
+        """(n, heads, d_head): h times the projection ``short`` (W_Q, W_K or W_V)."""
+        return (h @ params[short].value).reshape(n, heads, d_head)
+
+    q, k, v = project("W_Q"), project("W_K"), project("W_V")
 
     def head_csr(weights):
         """The (node, head) CSR holding the (E, H) per-entry ``weights``."""
@@ -269,24 +283,35 @@ def graph_transformer_layer(
     out += aggregate(head_csr(alpha), v)
     out += params["b"].value
 
+    # what backward reads; it pops each entry, so the entry goes at its last use
+    saved = {"alpha": alpha}
+    if d_in >= width:
+        saved.update(W_Q=q, W_K=k, W_V=v)
+
+    def take(short):
+        """The projection ``short``: saved by the forward, or recomputed."""
+        return saved.pop(short) if short in saved else project(short)
+
     def backward(d_out, input_grad: bool = True):
         params["b"].add_grad(d_out.sum(axis=0, keepdims=True))
         params["W_S"].add_grad(h.T @ d_out)
         d_h = d_out @ params["W_S"].value.T if input_grad else None
 
+        alpha = saved.pop("alpha")
         d_msg = d_out.reshape(n, heads, d_head)
         d_v = aggregate(head_csr(alpha).T, d_msg)  # rebuilt: keeping it put a copy on every tape
         params["W_V"].add_grad(h.T @ d_v)
 
         # softmax backward per neighborhood segment
-        d_alpha = entry_dots(d_msg, v)
+        d_alpha = entry_dots(d_msg, take("W_V"))
         inner = segment_sum(alpha * d_alpha, offsets)
         d_scores = head_csr(alpha * (d_alpha - per_entry(inner)) * inv_sqrt)
-        del d_alpha, inner
+        del d_alpha, inner, alpha
 
-        # d_h sums the W_S, W_Q, W_K, W_V terms in order; d_q and d_k live one at a time
-        for short, m, x in (("W_Q", d_scores, k), ("W_K", d_scores.T, q)):
-            d_proj = aggregate(m, x)
+        # d_h sums the W_S, W_Q, W_K, W_V terms in order; d_q and d_k live one
+        # at a time, and d_q reads k, d_k reads q
+        for short, m, source in (("W_Q", d_scores, "W_K"), ("W_K", d_scores.T, "W_Q")):
+            d_proj = aggregate(m, take(source))
             params[short].add_grad(h.T @ d_proj)
             if input_grad:
                 d_h += d_proj @ params[short].value.T

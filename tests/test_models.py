@@ -2,6 +2,8 @@
 equivariances, initialization statistics.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -413,12 +415,22 @@ def test_gt_layer_is_bit_identical_to_per_head_reference(graph, heads, d_head, d
     _assert_gt_layer_matches_reference(graph, heads, d_head, d_in, seed)
 
 
-def _assert_gt_layer_matches_reference(graph, heads, d_head, d_in, seed):
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("d_in", [3, 4, 5], ids=["narrower", "as_wide", "wider"])
+def test_gt_layer_is_bit_identical_on_both_sides_of_the_width_rule(d_in, sparse):
+    # width 4 (2 heads of 2): an input narrower than that has q, k and v
+    # recomputed in backward, an input as wide or wider has them saved
+    _assert_gt_layer_matches_reference(random_graph(10, 0.3, 7), 2, 2, d_in, d_in, sparse)
+
+
+def _assert_gt_layer_matches_reference(graph, heads, d_head, d_in, seed, sparse=False):
     rng = np.random.default_rng(seed)
     n, width = graph.shape[0], heads * d_head
     values = {short: rng.normal(size=(d_in, width)) for short in ("W_Q", "W_K", "W_V", "W_S")}
     values["b"] = rng.normal(size=(1, width))
     h = rng.normal(size=(n, d_in))
+    if sparse:
+        h = csr_array(h * (rng.random(size=h.shape) < 0.4))
     d_out = rng.normal(size=(n, width))
     ours = {short: Parameter(v.copy(), short) for short, v in values.items()}
     reference = {short: Parameter(v.copy(), short) for short, v in values.items()}
@@ -446,6 +458,47 @@ def test_gt_layer_blocks_of_entries_are_bit_identical(monkeypatch, block, heads)
     d_head = 2
     monkeypatch.setattr(models, "_BLOCK_BYTES", block * heads * d_head * 8)
     _assert_gt_layer_matches_reference(graph, heads, d_head, 3, seed=block * 10 + heads)
+
+
+def _gt_layer_on_800_nodes(d_in):
+    """(h, context, params) for one GT layer, d_in -> 64 wide at 4 heads, on an
+    800-node synthetic graph, with the context's head index already built."""
+    context = build_context(generate_synthetic(800, 7, 0.02, 0.001, dim=8, seed=0).graph)
+    context.head_index(4)
+    rng = SplitMix64(3)
+    return rng.normal((800, d_in)), context, _gt_params(rng, d_in, 64)
+
+
+def test_gt_layer_keeps_no_projection_of_a_narrower_input():
+    # saved q, k and v would add 3 * out.nbytes; at this size the pair retained
+    # 2.85 * (out.nbytes + 2 * alpha.nbytes) with them and 0.85 without
+    h, context, params = _gt_layer_on_800_nodes(d_in=32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out, backward = graph_transformer_layer(h, context, params, heads=4)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    alpha_nbytes = context.adj.nnz * 4 * 8  # (E, heads) float64
+    assert retained < out.nbytes + 2 * alpha_nbytes
+
+
+def test_gt_backward_drops_each_saved_array_after_its_last_use():
+    # 64 -> 64 wide, as a hidden layer: the peak above backward's start read
+    # 4.58 * out.nbytes with every saved array alive to the end, 3.77 without
+    h, context, params = _gt_layer_on_800_nodes(d_in=64)
+    d_out = SplitMix64(4).normal(h.shape)
+    tracemalloc.start()  # before the forward, so that freeing what it saved counts
+    try:
+        out, backward = graph_transformer_layer(h, context, params, heads=4)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        backward(d_out)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.2 * out.nbytes
 
 
 def test_head_index_built_once_per_structure_and_heads(monkeypatch):
