@@ -72,7 +72,7 @@ from .models import ARCHITECTURES, ModelSpec, init_parameters
 from .train import RunResult, TrainSpec, aggregate, train
 
 _FORMAT_SUFFIX = {"markdown": "md", "latex": "tex", "csv": "csv"}
-_FORMAT_ALIASES = {alias: name for name, ext in _FORMAT_SUFFIX.items() for alias in (name, ext)}
+FORMAT_ALIASES = {alias: name for name, ext in _FORMAT_SUFFIX.items() for alias in (name, ext)}
 
 
 def _to_int(value) -> int:
@@ -170,9 +170,9 @@ class BenchConfig:
 
 
 def normalize_format(fmt: str) -> str:
-    if fmt not in _FORMAT_ALIASES:
+    if fmt not in FORMAT_ALIASES:
         raise ConfigError(f"unknown table format {fmt!r}, expected md|tex|csv")
-    return _FORMAT_ALIASES[fmt]
+    return FORMAT_ALIASES[fmt]
 
 
 def _coerce(path: str, where: str, block, table: dict, tag: str | None = None) -> dict:

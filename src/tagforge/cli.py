@@ -9,12 +9,12 @@ import os
 import sys
 
 from .bench import (
+    FORMAT_ALIASES,
     BenchConfig,
     ConfigError,
     load_bench_dataset,
     load_config,
     load_features,
-    normalize_format,
     prepare,
     render,
     run_bench,
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--seeds", type=int,
                          help="override run seeds with 0..n-1")
-    p_bench.add_argument("--format", choices=["md", "tex", "csv", "markdown", "latex"],
+    p_bench.add_argument("--format", choices=FORMAT_ALIASES,
                          help="override the table format")
     p_bench.add_argument("--out", help="override the output directory")
     p_bench.add_argument("--force", action="store_true",
@@ -79,7 +79,7 @@ def _apply_overrides(cfg: BenchConfig, args) -> BenchConfig:
         except ValueError as exc:
             raise ConfigError(f"--seeds {args.seeds}: {exc}") from exc
     if getattr(args, "format", None):
-        cfg.table_format = normalize_format(args.format)
+        cfg.table_format = FORMAT_ALIASES[args.format]
     return cfg
 
 

@@ -89,7 +89,7 @@ def _check_dropout(seed: int) -> float:
     rng = SplitMix64(seed)
 
     def call(x):  # same mask every evaluation: fresh stream, same seed
-        out, mask = dropout(x, 0.6, rng=SplitMix64(seed + 1), training=True)
+        out, mask = dropout(x, 0.6, rng=SplitMix64(seed + 1))
         return out, lambda d_out: dropout_backward(mask, d_out)
 
     return _worst_error(call, [rng.normal((6, 4))], (), rng)

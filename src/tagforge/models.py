@@ -90,55 +90,47 @@ class Model:
 
 
 @dataclass(frozen=True)
-class HeadIndex:
-    """The context's (node, head) CSR at one head count H.
-
-    Row ``i*H + h`` holds the columns ``j*H + h`` for j in N(i) ∪ {i}, in
-    the adjacency's entry order, so one ``spmm`` over an (n*H, d_head)
-    operand aggregates every head at once and each row sums in the same
-    order as a per-head product. ``flat`` gathers an (E, H) per-entry
-    weight array, flattened, into this layout.
-    """
-
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    flat: np.ndarray
-
-
-@dataclass(frozen=True)
 class PropagationContext:
     """The per-graph operator that both graph layers read, built once per run.
 
     ``adj`` is the normalized self-looped adjacency D^{-1/2}(A+I)D^{-1/2}
     (``normalize_adjacency``): GCN aggregates with it, and the graph
     transformer attends over its pattern, N(i) ∪ {i}, reading its
-    ``indptr`` and ``indices``. ``head_index(heads)`` is built on first
-    use and kept here, so it lives as long as the context.
+    ``indptr`` and ``indices``.
+
+    ``head_csr(weights)`` lays an (E, H) per-entry array out as the (node,
+    head) CSR of that pattern: row ``i*H + h`` holds the columns ``j*H + h``
+    for j in N(i) ∪ {i}, in the adjacency's entry order, so one ``spmm``
+    over an (n*H, d_head) operand aggregates every head at once and each
+    row sums in the same order as a per-head product. Each H's layout is
+    built on first use and kept here, so it lives as long as the context.
     """
 
     adj: csr_array
-    _head_indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def head_index(self, heads: int) -> HeadIndex:
-        index = self._head_indices.get(heads)
-        if index is None:
-            index = self._head_indices[heads] = build_head_index(self, heads)
-        return index
+    def head_csr(self, weights: np.ndarray) -> csr_array:
+        heads = weights.shape[1]
+        if heads not in self._layouts:
+            self._layouts[heads] = _head_layout(self.adj, heads)
+        flat, columns, offsets = self._layouts[heads]
+        size = self.adj.shape[0] * heads
+        return csr_array((weights.reshape(-1)[flat], columns, offsets), (size, size))
 
 
 def build_context(g: csr_array) -> PropagationContext:
     return PropagationContext(normalize_adjacency(g))
 
 
-def build_head_index(context: PropagationContext, heads: int) -> HeadIndex:
-    """The (node, head) CSR of ``context.adj``'s pattern; see HeadIndex."""
-    adj, head = context.adj, np.arange(heads)
+def _head_layout(adj: csr_array, heads: int):
+    """``(flat, columns, offsets)``: the (node, head) CSR of ``adj``; see PropagationContext."""
+    head = np.arange(heads)
     rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
     # (E, H) entries, flattened, stably sorted by their (node, head) row
     flat = np.argsort((rows[:, None] * heads + head).ravel(), kind="stable")
     columns = (adj.indices[:, None].astype(np.int64) * heads + head).ravel()[flat]
     offsets = np.concatenate([[0], np.cumsum(np.repeat(np.diff(adj.indptr), heads))])
-    return HeadIndex(offsets, columns, flat)
+    return flat, columns, offsets
 
 
 def glorot_uniform(rng: SplitMix64, fan_in: int, fan_out: int) -> np.ndarray:
@@ -214,7 +206,7 @@ def graph_transformer_layer(
     concatenated and a learned skip transform W_S h + b is added. The
     neighborhoods are the rows of ``context.adj``'s pattern (its weights
     are not read). Every aggregation is one ``spmm`` over the context's
-    (node, head) CSR (see HeadIndex); the backward's transposed products
+    (node, head) CSR (see PropagationContext); the backward's transposed products
     multiply by that CSR's ``.T`` view, so the pattern need not be
     symmetric. The per-entry dot products (scores, ``d_alpha``) run one
     ``_BLOCK_BYTES`` block of entries at a time, each entry still one
@@ -242,18 +234,12 @@ def graph_transformer_layer(
     inv_sqrt = 1.0 / math.sqrt(d_head)
     cols, offsets = context.adj.indices, context.adj.indptr
     degrees = np.diff(offsets)
-    index = context.head_index(heads)
 
     def project(short):
         """(n, heads, d_head): h times the projection ``short`` (W_Q, W_K or W_V)."""
         return (h @ params[short].value).reshape(n, heads, d_head)
 
     q, k, v = project("W_Q"), project("W_K"), project("W_V")
-
-    def head_csr(weights):
-        """The (node, head) CSR holding the (E, H) per-entry ``weights``."""
-        data = weights.reshape(-1)[index.flat]
-        return csr_array((data, index.col_indices, index.row_offsets), (n * heads, n * heads))
 
     def aggregate(m, x):
         """(n, width): the (node, head) matrix ``m`` times every head of x."""
@@ -280,7 +266,7 @@ def graph_transformer_layer(
     alpha = exps / per_entry(segment_sum(exps, offsets))
 
     out = h @ params["W_S"].value  # addition commutes: the bits of (agg + hW) + b
-    out += aggregate(head_csr(alpha), v)
+    out += aggregate(context.head_csr(alpha), v)
     out += params["b"].value
 
     # what backward reads; it pops each entry, so the entry goes at its last use
@@ -299,13 +285,13 @@ def graph_transformer_layer(
 
         alpha = saved.pop("alpha")
         d_msg = d_out.reshape(n, heads, d_head)
-        d_v = aggregate(head_csr(alpha).T, d_msg)  # rebuilt: keeping it put a copy on every tape
+        d_v = aggregate(context.head_csr(alpha).T, d_msg)  # rebuilt: a kept one sat on every tape
         params["W_V"].add_grad(h.T @ d_v)
 
         # softmax backward per neighborhood segment
         d_alpha = entry_dots(d_msg, take("W_V"))
         inner = segment_sum(alpha * d_alpha, offsets)
-        d_scores = head_csr(alpha * (d_alpha - per_entry(inner)) * inv_sqrt)
+        d_scores = context.head_csr(alpha * (d_alpha - per_entry(inner)) * inv_sqrt)
         del d_alpha, inner, alpha
 
         # d_h sums the W_S, W_Q, W_K, W_V terms in order; d_q and d_k live one
@@ -414,7 +400,7 @@ def forward_backward(
             h, relu_back = relu(h)
             if training:
                 tape.append(relu_back)
-                h, mask = dropout(h, keep_prob, rng=rng, training=True)
+                h, mask = dropout(h, keep_prob, rng=rng)
                 tape.append(lambda d, m=mask: dropout_backward(m, d))
             del relu_back
 
@@ -431,13 +417,6 @@ def forward_backward(
     return h, (backward if training else None)
 
 
-def forward(
-    model: Model,
-    dataset,
-    context: PropagationContext | None = None,
-    training: bool = False,
-    rng: SplitMix64 | None = None,
-    layer0: list | None = None,
-) -> np.ndarray:
-    """Logits only; see forward_backward."""
-    return forward_backward(model, dataset, context, training, rng, layer0)[0]
+def forward(*args, **kwargs) -> np.ndarray:
+    """Logits only; evaluate calls it, so perfbench's probe on train.forward_backward skips it."""
+    return forward_backward(*args, **kwargs)[0]

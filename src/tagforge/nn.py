@@ -79,17 +79,17 @@ def relu(x: np.ndarray):
     return out, backward
 
 
-def dropout(x: np.ndarray, keep_prob: float, rng=None, training: bool = True):
+def dropout(x: np.ndarray, keep_prob: float, rng=None):
     """Inverted dropout: returns (output, mask), survivors scaled by 1/keep_prob.
 
     ``mask`` is ``(keep, scale)``, the bool array ``u < keep_prob`` of the
-    uniforms ``u`` and 1/keep_prob, or None for the identity (evaluation mode
-    or keep_prob == 1). The float mask is a temporary in ``u``'s buffer; ``x``
-    times it is bit-equal to scaling the masked ``x``, signed zeros included.
+    uniforms ``u`` and 1/keep_prob, or None for the identity (keep_prob == 1).
+    The float mask is a temporary in ``u``'s buffer; ``x`` times it is
+    bit-equal to scaling the masked ``x``, signed zeros included.
     """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    if not training or keep_prob == 1.0:
+    if keep_prob == 1.0:
         return x, None
     u = rng.random(x.shape)
     keep, scale = u < keep_prob, 1.0 / keep_prob

@@ -80,10 +80,8 @@ class SplitMix64:
         """Independent child stream, seeded with the next raw output."""
         return SplitMix64(self.next_u64())
 
-    def random(self, shape=None):
-        """Uniform float64 in [0, 1), scalar or array of ``shape``."""
-        if shape is None:
-            return float(self.raw(1)[0] >> np.uint64(11)) * 2.0**-53
+    def random(self, shape):
+        """Uniform float64 in [0, 1), an array of ``shape``."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         u = np.empty(shape, dtype=np.float64)
         flat = u.reshape(-1)
@@ -92,17 +90,16 @@ class SplitMix64:
             np.multiply(z, 2.0**-53, out=flat[start : start + z.shape[0]])
         return u
 
-    def normal(self, shape=None):
-        """Standard normals via Box-Muller, scalar or array of ``shape``."""
-        scalar = shape is None
-        shape = (1,) if scalar else ((shape,) if isinstance(shape, int) else tuple(shape))
-        n = int(np.prod(shape)) if shape else 1
+    def normal(self, shape):
+        """Standard normals via Box-Muller, an array of ``shape``."""
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        n = int(np.prod(shape))
         m = (n + 1) // 2
         u = self.random((2, m))
         r = np.sqrt(-2.0 * np.log1p(-u[0]))  # 1-u in (0,1], no log(0)
         theta = 2.0 * np.pi * u[1]
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return float(z[0]) if scalar else z.reshape(shape)
+        return z.reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n): stable argsort of n raw keys."""

@@ -34,7 +34,7 @@ from tagforge.bench import (
     to_markdown,
     write_outputs,
 )
-from tagforge.cli import main
+from tagforge.cli import _build_parser, main
 from tagforge.data import generate_synthetic, load_planetoid, split_high, split_low
 from tagforge.features import EncoderSpec, save_embedding_file
 from tagforge.gradcheck import run_gradcheck
@@ -704,6 +704,24 @@ def test_cli_bench_format_and_out_overrides(tmp_path, capsys):
     assert code == 0
     assert os.path.exists(out_dir / "bench.tex")
     assert os.path.exists(out_dir / "bench.csv")
+
+
+@pytest.mark.parametrize(
+    "fmt", ["markdown", "md", "latex", "tex", "csv", "MD", "Markdown", "html", "txt", ""]
+)
+def test_cli_format_choices_are_the_config_aliases(tmp_path, capsys, fmt):
+    try:
+        load_config(_write_config(tmp_path, output={"dir": "out", "format": fmt}))
+        accepted = True
+    except ConfigError:
+        accepted = False
+    try:
+        _build_parser().parse_args(["bench", "--config", "c.json", "--format", fmt])
+        parsed = True
+    except SystemExit:
+        parsed = False
+    capsys.readouterr()
+    assert parsed == accepted
 
 
 def test_cli_seeds_override(tmp_path, capsys):

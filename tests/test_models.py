@@ -462,9 +462,9 @@ def test_gt_layer_blocks_of_entries_are_bit_identical(monkeypatch, block, heads)
 
 def _gt_layer_on_800_nodes(d_in):
     """(h, context, params) for one GT layer, d_in -> 64 wide at 4 heads, on an
-    800-node synthetic graph, with the context's head index already built."""
+    800-node synthetic graph, with the context's 4-head layout already built."""
     context = build_context(generate_synthetic(800, 7, 0.02, 0.001, dim=8, seed=0).graph)
-    context.head_index(4)
+    context.head_csr(np.zeros((context.adj.nnz, 4)))
     rng = SplitMix64(3)
     return rng.normal((800, d_in)), context, _gt_params(rng, d_in, 64)
 
@@ -503,11 +503,11 @@ def test_gt_backward_drops_each_saved_array_after_its_last_use():
 
 def test_head_index_built_once_per_structure_and_heads(monkeypatch):
     built = []
-    build = models.build_head_index
+    build = models._head_layout
     monkeypatch.setattr(
         models,
-        "build_head_index",
-        lambda context, heads: built.append(heads) or build(context, heads),
+        "_head_layout",
+        lambda adj, heads: built.append(heads) or build(adj, heads),
     )
     graph = random_graph(8, 0.4, 1)
     context = build_context(graph)
@@ -517,8 +517,10 @@ def test_head_index_built_once_per_structure_and_heads(monkeypatch):
     for heads in (2, 2, 1, 4, 1, 2):
         graph_transformer_layer(h, context, params, heads)
     assert built == [2, 1, 4]
-    assert context.head_index(2) is context.head_index(2)
-    assert build_context(graph).head_index(2) is not context.head_index(2)
+    weights = np.ones((context.adj.nnz, 2))
+    assert context.head_csr(weights).nnz == context.head_csr(weights).nnz == weights.size
+    assert built == [2, 1, 4]
+    build_context(graph).head_csr(weights)
     assert built == [2, 1, 4, 2]
 
 

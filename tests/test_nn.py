@@ -68,15 +68,8 @@ def test_relu_gradient_away_from_zero():
 
 def test_dropout_keep_one_is_identity():
     x = np.arange(6.0).reshape(2, 3)
-    out, mask = dropout(x, 1.0, rng=SplitMix64(0), training=True)
+    out, mask = dropout(x, 1.0, rng=SplitMix64(0))
     assert np.array_equal(out, x)
-    assert mask is None
-
-
-def test_dropout_eval_is_identity():
-    x = np.arange(6.0).reshape(2, 3)
-    out, mask = dropout(x, 0.3, rng=None, training=False)
-    assert out is x
     assert mask is None
 
 
@@ -88,7 +81,7 @@ def test_dropout_invalid_keep_prob():
 
 def test_dropout_monte_carlo_mean():
     x = np.ones((500, 200))
-    out, _ = dropout(x, 0.5, rng=SplitMix64(123), training=True)
+    out, _ = dropout(x, 0.5, rng=SplitMix64(123))
     assert abs(out.mean() - 1.0) < 0.02
     assert set(np.unique(out)) <= {0.0, 2.0}
 
@@ -117,8 +110,8 @@ def test_dropout_mask_is_the_scaled_comparison(keep_prob, dtype):
 
 def test_dropout_deterministic_per_stream():
     x = np.ones((20, 20))
-    a, _ = dropout(x, 0.7, rng=SplitMix64(5), training=True)
-    b, _ = dropout(x, 0.7, rng=SplitMix64(5), training=True)
+    a, _ = dropout(x, 0.7, rng=SplitMix64(5))
+    b, _ = dropout(x, 0.7, rng=SplitMix64(5))
     assert np.array_equal(a, b)
 
 

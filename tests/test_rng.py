@@ -73,10 +73,6 @@ def test_uniform_range_and_determinism():
     assert SplitMix64(5).random((4, 3)).shape == (4, 3)
 
 
-def test_uniform_scalar_matches_first_array_entry():
-    assert SplitMix64(8).random() == SplitMix64(8).random(1)[0]
-
-
 def test_normal_moments():
     z = SplitMix64(2).normal(40000)
     assert abs(z.mean()) < 0.02
