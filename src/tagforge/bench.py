@@ -37,7 +37,7 @@ through them. Sparse feature matrices (TF-IDF, bag-of-words) stay CSR.
 run; when absent each run re-draws its split from the run seed. Prepared
 features live under ``<output.dir>/features/<encoder>.emb``; ``prepare``
 materializes them (TF-IDF and remote encoders embed the dataset texts, file
-encoders are copied) and skips existing files unless forced.
+encoders are checked and copied) and skips existing files unless forced.
 
 Cell runs are scheduled onto a bounded worker pool; every run owns its
 model and RNG, and output ordering is fixed by config order, so identical
@@ -50,7 +50,6 @@ import inspect
 import io
 import json
 import os
-import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -301,8 +300,7 @@ def prepare(cfg: BenchConfig, force: bool = False) -> list[str]:
         if os.path.exists(target) and not force:
             continue
         if encoder.kind == "file":
-            os.makedirs(os.path.dirname(target), exist_ok=True)
-            shutil.copyfile(encoder.path, target)
+            save_embedding_file(target, load_embedding_file(encoder.path))
         else:
             if dataset is None:
                 dataset = load_bench_dataset(cfg)

@@ -92,7 +92,7 @@ def _read_labels(path: str) -> np.ndarray:
     return labels
 
 
-def _read_edges(path: str) -> list[tuple[int, int]]:
+def _read_edges(path: str, n: int) -> list[tuple[int, int]]:
     edges = []
     with open(path) as fh:
         for lineno, ln in enumerate(fh, 1):
@@ -102,9 +102,12 @@ def _read_edges(path: str) -> list[tuple[int, int]]:
             if len(parts) != 2:
                 raise DatasetFormatError(f"{path}:{lineno}: expected two node ids")
             try:
-                edges.append((int(parts[0]), int(parts[1])))
+                edge = (int(parts[0]), int(parts[1]))
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: non-integer node id") from exc
+            if not (0 <= edge[0] < n and 0 <= edge[1] < n):
+                raise DatasetFormatError(f"{path}:{lineno}: node id outside 0..{n - 1}")
+            edges.append(edge)
     return edges
 
 
@@ -127,12 +130,7 @@ def load_planetoid(dir: str, name: str) -> Dataset:
         missing = sorted(set(range(num_classes)) - set(present.tolist()))
         raise DatasetFormatError(f"{labels_path}: classes {missing} have no nodes")
 
-    edges = _read_edges(edges_path)
-    if edges and max(max(e) for e in edges) >= n:
-        raise DatasetFormatError(
-            f"{edges_path}: edge endpoint exceeds node count {n} from {labels_path}"
-        )
-    graph = from_edge_list(n, edges)
+    graph = from_edge_list(n, _read_edges(edges_path, n))
 
     texts = None
     if os.path.exists(stem + ".texts"):
@@ -168,7 +166,7 @@ def split_low(
             raise ValueError(
                 f"class {c} has {nodes_c.size} nodes, need {per_class} for training"
             )
-        train_parts.append(rng.choice(nodes_c, per_class))
+        train_parts.append(nodes_c[rng.permutation(nodes_c.size)[:per_class]])
     train = np.sort(np.concatenate(train_parts))
     pool = np.setdiff1d(np.arange(labels.shape[0], dtype=np.int64), train)
     if pool.size < n_val + n_test:

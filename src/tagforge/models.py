@@ -2,9 +2,9 @@
 
 ``ARCH_TABLE`` maps each arch to what differs between them: per-layer
 parameter shapes ``(d_in, d_out) -> {short: shape}``, the layer call
-``(h, context, params, heads) -> (out, backward)``, whether hidden layers
-are multi-head, and whether the layer reads a ``PropagationContext`` (MLP
-does not). The context holds one self-looped CSR per graph: GCN
+``(h, context, params, heads) -> (out, backward)`` and whether hidden
+layers are multi-head. Every run builds one ``PropagationContext``, which
+MLP ignores; it holds one self-looped CSR per graph: GCN
 multiplies by it, the graph transformer attends over its pattern. Init,
 ``forward_backward`` and ``gradcheck`` all read the table.
 Calls name the layer functions as module globals, looked up when they
@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .graph import normalize_adjacency, segment_max, segment_sum, spmm
-from .nn import Parameter, add_bias, dropout, dropout_backward, matmul, relu
+from .nn import Parameter, dropout, dropout_backward, matmul, relu
 from .rng import SplitMix64
 
 
@@ -152,14 +152,13 @@ def init_parameters(spec: ModelSpec, seed: int) -> Model:
 def mlp_layer(h: np.ndarray, W: Parameter, b: Parameter):
     """h @ W + b. Backward accumulates into W/b and returns dH (None when
     called with ``input_grad=False``); the layer backwards below do the same."""
-    z, mm_back = matmul(h, W.value)
-    out, bias_back = add_bias(z, b.value)
+    out, mm_back = matmul(h, W.value)
+    out += b.value
 
     def backward(d_out, input_grad: bool = True):
-        d_z, d_b = bias_back(d_out)
-        d_h, d_W = mm_back(d_z, input_grad)
+        d_h, d_W = mm_back(d_out, input_grad)
         W.add_grad(d_W)
-        b.add_grad(d_b)
+        b.add_grad(d_out.sum(axis=0, keepdims=True))
         return d_h
 
     return out, backward
@@ -171,18 +170,16 @@ def gcn_layer(h: np.ndarray, adj: csr_array, W: Parameter, b: Parameter):
     Computed as spmm(adj, h @ W) + b: the aggregation is linear, so the
     transform commutes with it, and aggregating the narrower matrix is far
     cheaper when in_dim >> out_dim. Backward propagates gradients through
-    the transpose view, spmm(adj.T, d_agg).
+    the transpose view, spmm(adj.T, d_out).
     """
     z, mm_back = matmul(h, W.value)
-    agg = spmm(adj, z)
-    out, bias_back = add_bias(agg, b.value)
+    out = spmm(adj, z)
+    out += b.value
 
     def backward(d_out, input_grad: bool = True):
-        d_agg, d_b = bias_back(d_out)
-        d_z = spmm(adj.T, d_agg)
-        d_h, d_W = mm_back(d_z, input_grad)
+        d_h, d_W = mm_back(spmm(adj.T, d_out), input_grad)
         W.add_grad(d_W)
-        b.add_grad(d_b)
+        b.add_grad(d_out.sum(axis=0, keepdims=True))
         return d_h
 
     return out, backward
@@ -317,7 +314,6 @@ class Architecture:
     shapes: Callable[[int, int], dict[str, tuple[int, int]]]
     call: Callable
     multi_head: bool = False
-    needs_context: bool = True
 
 
 def _shapes(*weights: str) -> Callable[[int, int], dict[str, tuple[int, int]]]:
@@ -335,9 +331,7 @@ ARCH_TABLE: dict[str, Architecture] = {
         multi_head=True,
     ),
     "mlp": Architecture(
-        _shapes("W"),
-        lambda h, context, p, heads: mlp_layer(h, p["W"], p["b"]),
-        needs_context=False,
+        _shapes("W"), lambda h, context, p, heads: mlp_layer(h, p["W"], p["b"])
     ),
 }
 ARCHITECTURES = tuple(ARCH_TABLE)
@@ -346,7 +340,7 @@ ARCHITECTURES = tuple(ARCH_TABLE)
 def forward_backward(
     model: Model,
     dataset,
-    context: PropagationContext | None = None,
+    context: PropagationContext,
     training: bool = False,
     rng: SplitMix64 | None = None,
     layer0: list | None = None,
@@ -379,8 +373,6 @@ def forward_backward(
         raise ValueError("dataset has no feature matrix")
     if h.shape[1] != spec.in_dim:
         raise ValueError(f"feature dim {h.shape[1]} != spec.in_dim {spec.in_dim}")
-    if context is None and arch.needs_context:
-        context = build_context(dataset.graph)
     keep_prob = 1.0 - spec.dropout
     if training and keep_prob < 1.0 and rng is None:
         raise ValueError("training with dropout requires an rng")

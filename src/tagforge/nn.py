@@ -56,18 +56,6 @@ def matmul(a, b: np.ndarray):
     return out, backward
 
 
-def add_bias(x: np.ndarray, b: np.ndarray):
-    """out = x + b for a (1, d) bias row; backward sums over rows."""
-    if b.shape != (1, x.shape[1]):
-        raise ValueError(f"bias shape {b.shape} incompatible with {x.shape}")
-    out = x + b
-
-    def backward(d_out):
-        return d_out, d_out.sum(axis=0, keepdims=True)
-
-    return out, backward
-
-
 def relu(x: np.ndarray):
     """Elementwise max(0, x); backward gates by x > 0."""
     out = np.maximum(x, 0.0)

@@ -104,10 +104,3 @@ class SplitMix64:
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n): stable argsort of n raw keys."""
         return np.argsort(self.raw(n), kind="stable")
-
-    def choice(self, pool: np.ndarray, k: int) -> np.ndarray:
-        """``k`` elements of ``pool`` drawn uniformly without replacement."""
-        pool = np.asarray(pool)
-        if k > pool.shape[0]:
-            raise ValueError(f"cannot draw {k} from pool of {pool.shape[0]}")
-        return pool[self.permutation(pool.shape[0])[:k]]

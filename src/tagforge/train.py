@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, SplitMask
-from .models import ARCH_TABLE, Model, PropagationContext, build_context, forward, forward_backward
+from .models import Model, PropagationContext, build_context, forward, forward_backward
 from .nn import Parameter, cross_entropy
 from .rng import SplitMix64
 
@@ -98,7 +98,7 @@ def evaluate(
     model: Model,
     dataset: Dataset,
     mask: np.ndarray,
-    context: PropagationContext | None = None,
+    context: PropagationContext,
     layer0: list | None = None,
 ) -> float:
     """Fraction of masked nodes whose argmax logit matches the label.
@@ -163,8 +163,7 @@ def train(
     """
     split.validate(dataset.num_nodes)
     _fix_malloc_thresholds()
-    needs_context = ARCH_TABLE[model.spec.arch].needs_context
-    context = build_context(dataset.graph) if needs_context else None
+    context = build_context(dataset.graph)
     rng = SplitMix64(seed).split()
     state = AdamState(model.parameters)
 

@@ -344,6 +344,20 @@ def test_prepare_is_idempotent_unless_forced(tmp_path):
     assert sorted(prepare(cfg, force=True)) == sorted(first)
 
 
+def test_prepare_checks_a_file_encoder_and_copies_it_byte_identically(tmp_path, capsys):
+    config = _write_config(tmp_path, encoders=[{"name": "f", "kind": "file", "path": "native.emb"}])
+    source = tmp_path / "native.emb"
+    valid = source.read_bytes()
+    source.write_bytes(valid[:-7])
+    assert main(["prepare", "--config", config]) == 1
+    assert f"{source}: payload is" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "features").exists()
+
+    source.write_bytes(valid)
+    assert main(["prepare", "--config", config]) == 0
+    assert (tmp_path / "out" / "features" / "f.emb").read_bytes() == valid
+
+
 def test_prepare_requires_texts_for_tfidf(tmp_path):
     # planetoid dataset written without texts
     from conftest import write_planetoid
@@ -681,11 +695,12 @@ def test_run_gradcheck_refuses_empty_seeds():
         run_gradcheck(seeds=range(0))
 
 
-def test_gradcheck_flags_sabotaged_backward():
+def test_gradcheck_flags_sabotaged_backward(monkeypatch):
     def broken_backward_check(seed):
         return 0.5  # pretend some op disagrees with finite differences
 
-    results = run_gradcheck(seeds=range(2), checks={"broken_op": broken_backward_check})
+    monkeypatch.setattr("tagforge.gradcheck.CHECKS", {"broken_op": broken_backward_check})
+    results = run_gradcheck(seeds=range(2))
     assert len(results) == 1
     assert not results[0].ok
 

@@ -1,5 +1,6 @@
 """Dataset loading, split protocols, and the synthetic generator."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,16 @@ def test_loader_accepts_empty_edge_file(tmp_path):
 def test_loader_rejects_edge_beyond_node_count(tmp_path):
     directory = _toy_files(tmp_path, edges=[(0, 9)])
     with pytest.raises(DatasetFormatError):
+        load_planetoid(directory, "toy")
+
+
+@pytest.mark.parametrize("line", ["0 1 2", "0 x", "-1 2", "0 4"])  # the toy has 4 nodes
+def test_loader_names_the_file_and_line_of_a_bad_edge(tmp_path, line):
+    directory = _toy_files(tmp_path)
+    edges = directory / "toy.edges"
+    with open(edges, "a") as fh:
+        fh.write(line + "\n")  # line 4, after the toy's three edges
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{edges}:4: ")):
         load_planetoid(directory, "toy")
 
 

@@ -97,16 +97,6 @@ def test_permutations_vary_with_seed():
     assert len(perms) == 20
 
 
-def test_choice_without_replacement():
-    pool = np.arange(50, 100)
-    picked = SplitMix64(4).choice(pool, 10)
-    assert picked.shape == (10,)
-    assert np.unique(picked).size == 10
-    assert np.all(np.isin(picked, pool))
-    with pytest.raises(ValueError):
-        SplitMix64(4).choice(np.arange(3), 5)
-
-
 def test_split_gives_independent_stream():
     parent = SplitMix64(77)
     child = parent.split()

@@ -20,7 +20,6 @@ from tagforge import models
 from tagforge.data import Dataset, SplitMask, generate_synthetic, split_high
 from tagforge.graph import from_edge_list
 from tagforge.models import (
-    ARCH_TABLE,
     ARCHITECTURES,
     ModelSpec,
     build_context,
@@ -135,20 +134,22 @@ def _tiny_dataset(labels):
 def test_evaluate_all_correct_and_all_wrong():
     ds = _tiny_dataset([0, 0, 0, 0])
     model = _constant_logit_model()
-    assert evaluate(model, ds, np.arange(4)) == 1.0
+    assert evaluate(model, ds, np.arange(4), build_context(ds.graph)) == 1.0
     ds_wrong = _tiny_dataset([1, 1, 1, 0])
-    assert evaluate(model, ds_wrong, np.array([0, 1, 2])) == 0.0
+    context = build_context(ds_wrong.graph)
+    assert evaluate(model, ds_wrong, np.array([0, 1, 2]), context) == 0.0
 
 
 def test_evaluate_tie_break_to_lowest_class():
     ds = _tiny_dataset([0, 1, 0, 1])  # constant logits predict class 0 everywhere
     model = _constant_logit_model()
-    assert evaluate(model, ds, np.arange(4)) == 0.5
+    assert evaluate(model, ds, np.arange(4), build_context(ds.graph)) == 0.5
 
 
 def test_evaluate_empty_mask():
+    ds = _tiny_dataset([0, 1])
     with pytest.raises(ValueError):
-        evaluate(_constant_logit_model(), _tiny_dataset([0, 1]), np.array([], dtype=int))
+        evaluate(_constant_logit_model(), ds, np.array([], dtype=int), build_context(ds.graph))
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +239,6 @@ def test_reported_accuracy_matches_restored_snapshot():
     assert evaluate(model, ds, split.test, context) == result.test_acc_at_best_val
 
 
-def test_train_mlp_builds_no_propagation_context(monkeypatch):
-    def no_context(graph):
-        raise AssertionError("MLP training built a propagation context")
-
-    monkeypatch.setattr(train_module, "build_context", no_context)
-    ds, split = _toy()
-    spec = ModelSpec("mlp", in_dim=8, num_classes=2)
-    result = train(init_parameters(spec, 0), ds, split, TrainSpec(epochs=5), seed=0)
-    assert result.epochs_ran == 5
-
-
 def test_nonfinite_loss_or_gradient_ends_the_run():
     ds, split = _toy()
     model = init_parameters(ModelSpec("mlp", in_dim=8, num_classes=2), 0)
@@ -292,7 +282,7 @@ def _handoff_case(arch, sparse):
 def _reference_train(model, ds, split, tspec, seed):
     """``train``'s protocol with layer 0 called in every forward, for a run
     that reaches the epoch cap: loss curve, validation curve, test accuracy."""
-    context = build_context(ds.graph) if ARCH_TABLE[model.spec.arch].needs_context else None
+    context = build_context(ds.graph)
     rng = SplitMix64(seed).split()
     state = AdamState(model.parameters)
     losses, vals, best_val, best_params = [], [], -1.0, model.snapshot()
@@ -444,7 +434,7 @@ def test_train_keeps_one_tape_alive(arch):
     split = split_high(dataset.num_nodes, seed=0)
     spec = ModelSpec(arch, in_dim=32, num_classes=7)
     model = init_parameters(spec, 0)
-    context = build_context(dataset.graph) if ARCH_TABLE[arch].needs_context else None
+    context = build_context(dataset.graph)
 
     def step():
         logits, backward = forward_backward(model, dataset, context, True, SplitMix64(1))
