@@ -117,10 +117,6 @@ def _key_table(consumer, *supplied: str) -> dict:
     return {p.name: (_CASTS[p.annotation], p.default) for p in params if p.name not in supplied}
 
 
-def _defaults(table: dict) -> dict:
-    return {key: default for key, (_, default) in table.items() if default is not _REQUIRED}
-
-
 # Read at import: a tracer may later wrap these module globals in (*args, **kwargs).
 _DATASET_KEYS = {"planetoid": _key_table(load_planetoid),
                  "synthetic": _key_table(generate_synthetic)}
@@ -177,8 +173,9 @@ def normalize_format(fmt: str) -> str:
 def _coerce(path: str, where: str, block, table: dict, tag: str | None = None) -> dict:
     """A copy of the JSON object ``block``, each value cast by its entry in the
     whole key table ``table`` (a None cast keeps it) or, with ``tag``, in the
-    table ``table`` holds for the block's value of that key. A non-object block,
-    an unknown or missing required key or a value its cast rejects is a ConfigError."""
+    table ``table`` holds for the block's value of that key, and each absent
+    optional key set to its default. A non-object block, an unknown or missing
+    required key or a value its cast rejects is a ConfigError."""
     if tag is not None:
         choice = block.get(tag) if isinstance(block, dict) else None
         if not isinstance(choice, str) or choice not in table:
@@ -196,6 +193,7 @@ def _coerce(path: str, where: str, block, table: dict, tag: str | None = None) -
         if key not in block:
             if default is _REQUIRED:
                 raise ConfigError(f"{path}: {where} needs {key!r}")
+            block[key] = default
         elif cast is not None:
             try:
                 block[key] = cast(block[key])
@@ -226,7 +224,7 @@ def load_config(path: str) -> BenchConfig:
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
-    top = _defaults(_TOP_KEYS) | _coerce(path, "the top level", blob, _TOP_KEYS)
+    top = _coerce(path, "the top level", blob, _TOP_KEYS)
     archs = top["archs"]
     for arch in archs:
         if arch not in ARCHITECTURES:
@@ -242,9 +240,8 @@ def load_config(path: str) -> BenchConfig:
             if not os.path.exists(stem + suffix):
                 raise ConfigError(f"{path}: dataset file missing: {stem + suffix}")
     else:
-        args = _defaults(_DATASET_KEYS["synthetic"]) | dataset
-        _make(path, "synthetic dataset block", check_synthetic,
-              args["n"], args["classes"], args["p_in"], args["p_out"], args["dim"])
+        _make(path, "synthetic dataset block", check_synthetic, dataset["n"],
+              dataset["classes"], dataset["p_in"], dataset["p_out"], dataset["dim"])
 
     encoders = []
     for enc in top["encoders"]:
@@ -270,7 +267,7 @@ def load_config(path: str) -> BenchConfig:
     model = _coerce(path, "model block", top["model"], _MODEL_KEYS)
     for arch in archs:
         _make(path, "model block", ModelSpec, arch, in_dim=1, num_classes=2, **model)
-    output = _defaults(_OUTPUT_KEYS) | _coerce(path, "output block", top["output"], _OUTPUT_KEYS)
+    output = _coerce(path, "output block", top["output"], _OUTPUT_KEYS)
     if top["workers"] < 1:
         raise ConfigError(f"{path}: workers must be >= 1")
     return BenchConfig(dataset, encoders, archs, split, trainspec, model,

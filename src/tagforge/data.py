@@ -6,8 +6,8 @@ On-disk layout (all files share a ``<name>`` stem inside one directory):
   file is a valid edgeless graph); direction is ignored, duplicates and
   self-citations are dropped, and the graph is held as the symmetric 0/1
   ``csr_array`` that ``graph.from_edge_list`` builds
-* ``<name>.labels``  one integer class id per line; the line count defines
-  the node count
+* ``<name>.labels``  one integer class id per line, line i for node i - 1;
+  the line count defines the node count, and blank lines may only trail
 * ``<name>.texts``   optional, one raw document per line
 
 The loader reads nothing else. Node features come from an encoder (see
@@ -80,16 +80,21 @@ class Dataset:
 def _read_labels(path: str) -> np.ndarray:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    try:
-        labels = np.array([int(ln) for ln in lines], dtype=np.int64)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}: labels must be integers") from exc
-    if labels.size == 0:
+    while lines and not lines[-1]:
+        lines.pop()  # trailing blank lines; any other would renumber the nodes after it
+    labels = []
+    for lineno, ln in enumerate(lines, 1):
+        if not ln:
+            raise DatasetFormatError(f"{path}:{lineno}: blank line before a label")
+        try:
+            labels.append(int(ln))
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}:{lineno}: labels must be integers") from exc
+        if labels[-1] < 0:
+            raise DatasetFormatError(f"{path}:{lineno}: negative class id")
+    if not labels:
         raise DatasetFormatError(f"{path}: no labels")
-    if labels.min() < 0:
-        raise DatasetFormatError(f"{path}: negative class id")
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def _read_edges(path: str, n: int) -> list[tuple[int, int]]:
@@ -190,9 +195,7 @@ def split_high(n: int, seed: int = 0) -> SplitMask:
     """
     if n < 5:
         raise ValueError(f"need at least 5 nodes to split, got {n}")
-    # +1e-9 guards float dust in products that are mathematically integral
-    n_train = int(np.floor(0.6 * n + 1e-9))
-    n_val = int(np.floor(0.2 * n + 1e-9))
+    n_train, n_val = 3 * n // 5, n // 5
     perm = SplitMix64(seed).permutation(n)
     mask = SplitMask(
         train=np.sort(perm[:n_train]),

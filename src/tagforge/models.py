@@ -5,8 +5,9 @@ parameter shapes ``(d_in, d_out) -> {short: shape}``, the layer call
 ``(h, context, params, heads) -> (out, backward)`` and whether hidden
 layers are multi-head. Every run builds one ``PropagationContext``, which
 MLP ignores; it holds one self-looped CSR per graph: GCN
-multiplies by it, the graph transformer attends over its pattern. Init,
-``forward_backward`` and ``gradcheck`` all read the table.
+multiplies by it, the graph transformer attends over its pattern.
+``init_parameters`` builds ``Model.layers`` from the table, naming each
+Parameter once; ``forward_backward`` and ``gradcheck`` read it too.
 Calls name the layer functions as module globals, looked up when they
 run, so a wrapper installed on ``models.<layer>`` sees every call.
 
@@ -58,28 +59,18 @@ class ModelSpec:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
-    def layer_table(self) -> list[tuple[dict[str, tuple[int, int]], int]]:
-        """Per layer, ``({short: shape}, heads)`` from the arch's table row."""
-        arch = ARCH_TABLE[self.arch]
-        dims = [self.in_dim] + [self.hidden] * (self.layers - 1) + [self.num_classes]
-        heads = [self.heads if arch.multi_head else 1] * (self.layers - 1) + [1]
-        return [(arch.shapes(d_in, d_out), h) for d_in, d_out, h in zip(dims, dims[1:], heads)]
-
 
 @dataclass
 class Model:
-    """``parameters``, keyed ``layer{l}.{short}``, feeds Adam and snapshots;
-    ``layers`` holds each layer's ``({short: Parameter}, heads)``."""
+    """``layers`` holds each layer's ``({short: Parameter}, heads)``;
+    ``parameters``, keyed by each Parameter's name, feeds Adam and snapshots."""
 
     spec: ModelSpec
-    parameters: dict[str, Parameter]
-    layers: list[tuple[dict[str, Parameter], int]] = field(init=False, repr=False)
+    layers: list[tuple[dict[str, Parameter], int]] = field(repr=False)
+    parameters: dict[str, Parameter] = field(init=False)
 
     def __post_init__(self):
-        self.layers = [
-            ({short: self.parameters[f"layer{layer}.{short}"] for short in shapes}, heads)
-            for layer, (shapes, heads) in enumerate(self.spec.layer_table())
-        ]
+        self.parameters = {p.name: p for params, _ in self.layers for p in params.values()}
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self.parameters.items()}
@@ -139,14 +130,18 @@ def glorot_uniform(rng: SplitMix64, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_parameters(spec: ModelSpec, seed: int) -> Model:
+    arch = ARCH_TABLE[spec.arch]
+    dims = [spec.in_dim] + [spec.hidden] * (spec.layers - 1) + [spec.num_classes]
+    heads = [spec.heads if arch.multi_head else 1] * (spec.layers - 1) + [1]
     rng = SplitMix64(seed)
-    params: dict[str, Parameter] = {}
-    for layer, (shapes, _) in enumerate(spec.layer_table()):
-        for short, shape in shapes.items():
-            name = f"layer{layer}.{short}"
+    layers = []
+    for layer, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+        params = {}
+        for short, shape in arch.shapes(d_in, d_out).items():
             value = np.zeros(shape) if short == "b" else glorot_uniform(rng, *shape)
-            params[name] = Parameter(value, name)
-    return Model(spec, params)
+            params[short] = Parameter(value, f"layer{layer}.{short}")
+        layers.append((params, heads[layer]))
+    return Model(spec, layers)
 
 
 def mlp_layer(h: np.ndarray, W: Parameter, b: Parameter):
@@ -341,11 +336,12 @@ def forward_backward(
     model: Model,
     dataset,
     context: PropagationContext,
-    training: bool = False,
     rng: SplitMix64 | None = None,
     layer0: list | None = None,
 ):
-    """Full forward pass; returns (logits, backward), backward None unless ``training``.
+    """Full forward pass; returns (logits, backward). An ``rng`` makes it a
+    training forward, whose dropout draws from the rng; without one it is an
+    evaluation forward, and backward is None.
 
     Hidden layers apply {layer -> ReLU -> dropout}; the final layer emits
     raw logits. ``dataset.features`` may be an ndarray or a
@@ -362,7 +358,7 @@ def forward_backward(
 
     ``layer0`` hands layer 0's ``(out, backward)`` pair from an evaluation
     forward, which appends it, to the next training forward, which pops it
-    instead of calling layer 0. Layers do not read ``training`` and dropout
+    instead of calling layer 0. Layers do not read the rng and dropout
     acts after layer 0, so the pair equals a fresh call while parameters
     and features stay unchanged; ``train.train`` guarantees that.
     """
@@ -374,8 +370,7 @@ def forward_backward(
     if h.shape[1] != spec.in_dim:
         raise ValueError(f"feature dim {h.shape[1]} != spec.in_dim {spec.in_dim}")
     keep_prob = 1.0 - spec.dropout
-    if training and keep_prob < 1.0 and rng is None:
-        raise ValueError("training with dropout requires an rng")
+    training = rng is not None
 
     tape = []
     for layer, (params, heads) in enumerate(model.layers):
@@ -407,8 +402,3 @@ def forward_backward(
         walk.pop()(d, input_grad=False)  # layer 0
 
     return h, (backward if training else None)
-
-
-def forward(*args, **kwargs) -> np.ndarray:
-    """Logits only; evaluate calls it, so perfbench's probe on train.forward_backward skips it."""
-    return forward_backward(*args, **kwargs)[0]

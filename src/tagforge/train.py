@@ -1,6 +1,6 @@
 """Adam, the training loop with early stopping, evaluation, aggregation.
 
-Protocol per run: every epoch does a training-mode forward, cross-entropy
+Protocol per run: every epoch does a training forward, cross-entropy
 on the train mask, a full backward pass, one Adam step, then a validation
 accuracy check. That validation forward hands its layer-0 output and
 backward to the next epoch's training forward, so layer 0 runs once per
@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, SplitMask
-from .models import Model, PropagationContext, build_context, forward, forward_backward
+from . import models
+from .models import Model, PropagationContext, build_context, forward_backward
 from .nn import Parameter, cross_entropy
 from .rng import SplitMix64
 
@@ -109,7 +110,8 @@ def evaluate(
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("evaluate over an empty mask")
-    logits = forward(model, dataset, context, layer0=layer0)
+    # through the module: a wrapper on this module's forward_backward sees training forwards only
+    logits = models.forward_backward(model, dataset, context, layer0=layer0)[0]
     predictions = np.argmax(logits[mask], axis=1)
     return float(np.mean(predictions == dataset.labels[mask]))
 
@@ -169,7 +171,7 @@ def train(
 
     best_val = -1.0
     best_epoch = 0
-    best_params = model.snapshot()
+    best_params = None  # epoch 1 always sets it: any accuracy beats best_val
     losses: list[float] = []
     vals: list[float] = []
     epochs_ran = 0
@@ -178,7 +180,7 @@ def train(
 
     for epoch in range(1, spec.epochs + 1):
         epochs_ran = epoch
-        logits, backward = forward_backward(model, dataset, context, True, rng, layer0)
+        logits, backward = forward_backward(model, dataset, context, rng, layer0)
         loss, d_logits = cross_entropy(logits, dataset.labels, split.train)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss {loss} at epoch {epoch}")

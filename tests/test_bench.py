@@ -251,6 +251,17 @@ def test_config_with_every_documented_key_loads(tmp_path, dataset):
     assert (cfg.table_format, cfg.workers) == ("latex", 2)
 
 
+def test_config_key_at_its_default_loads_like_an_absent_one(tmp_path):
+    def load(**overrides):  # a None override leaves its block out
+        path = Path(_write_config(tmp_path, **overrides))
+        blob = json.loads(path.read_text())
+        path.write_text(json.dumps({key: v for key, v in blob.items() if v is not None}))
+        return load_config(str(path))
+
+    assert load(model={"layers": 4, "dropout": 0.5}) == load(model={})
+    assert load(split={"protocol": "high", "seed": None}) == load(split=None)
+
+
 def test_config_accepts_integral_numbers(tmp_path):
     cfg = load_config(_write_config(
         tmp_path,

@@ -77,6 +77,23 @@ def test_loader_names_the_file_and_line_of_a_bad_edge(tmp_path, line):
         load_planetoid(directory, "toy")
 
 
+@pytest.mark.parametrize("lines,bad_line", [
+    (["0", "1", "", "1", "0"], 3),  # a blank line would make line 4 node 2's label
+    (["0", "1.0", "1", "0"], 2),
+    (["0", "1", "-1", "0"], 3),
+    (["0", "1", "1", "0", "", " "], None),  # trailing blank lines load
+])
+def test_loader_names_the_file_and_line_of_a_bad_label(tmp_path, lines, bad_line):
+    directory = _toy_files(tmp_path)
+    labels = directory / "toy.labels"
+    labels.write_text("\n".join(lines) + "\n")
+    if bad_line is None:
+        assert load_planetoid(directory, "toy").labels.tolist() == [0, 1, 1, 0]
+    else:
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{labels}:{bad_line}: ")):
+            load_planetoid(directory, "toy")
+
+
 def test_loader_rejects_missing_class(tmp_path):
     directory = _toy_files(tmp_path, labels=[0, 2, 0, 2])  # class 1 absent
     with pytest.raises(DatasetFormatError):
@@ -144,6 +161,34 @@ def test_split_low_insufficient_nodes():
 def test_split_high_sizes(n, expected):
     mask = split_high(n, seed=0)
     assert (mask.train.size, mask.val.size, mask.test.size) == expected
+
+
+def test_split_high_sizes_match_the_float_formula(monkeypatch):
+    """The integer sizes against floor(0.6 n + 1e-9) and floor(0.2 n + 1e-9),
+    the float formula they replaced; a stub stream and mask keep each call cheap."""
+    sizes = []
+
+    class Stream:
+        def __init__(self, seed):
+            pass
+
+        def permutation(self, n):
+            return np.zeros(n, dtype=np.int64)
+
+    class Mask:
+        def __init__(self, train, val, test):
+            sizes.append((train.size, val.size))
+
+        def validate(self, n):
+            pass
+
+    monkeypatch.setattr(data, "SplitMix64", Stream)
+    monkeypatch.setattr(data, "SplitMask", Mask)
+    n = np.arange(5, 20_001)
+    for size in n.tolist():
+        split_high(size)
+    reference = np.stack([np.floor(0.6 * n + 1e-9), np.floor(0.2 * n + 1e-9)], axis=1)
+    assert np.array_equal(np.array(sizes), reference)
 
 
 def test_split_high_too_small():

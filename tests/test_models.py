@@ -25,7 +25,6 @@ from tagforge.models import (
     ARCHITECTURES,
     ModelSpec,
     build_context,
-    forward,
     forward_backward,
     gcn_layer,
     glorot_uniform,
@@ -224,8 +223,8 @@ def test_eval_forward_is_deterministic(arch):
     spec = ModelSpec(arch, in_dim=6, num_classes=2, layers=3, hidden=4, heads=2)
     model = init_parameters(spec, seed=1)
     context = build_context(ds.graph)
-    a = forward(model, ds, context)
-    b = forward(model, ds, context)
+    a = forward_backward(model, ds, context)[0]
+    b = forward_backward(model, ds, context)[0]
     assert np.array_equal(a, b)
 
 
@@ -235,8 +234,8 @@ def test_training_forward_without_dropout_is_deterministic(arch):
     spec = ModelSpec(arch, in_dim=6, num_classes=2, layers=3, hidden=4, heads=2, dropout=0.0)
     model = init_parameters(spec, seed=1)
     context = build_context(ds.graph)
-    a = forward(model, ds, context, training=True, rng=SplitMix64(0))
-    b = forward(model, ds, context, training=True, rng=SplitMix64(99))
+    a = forward_backward(model, ds, context, rng=SplitMix64(0))[0]
+    b = forward_backward(model, ds, context, rng=SplitMix64(99))[0]
     assert np.array_equal(a, b)
 
 
@@ -246,8 +245,8 @@ def test_forward_takes_forward_backward_argument_order(arch):
     spec = ModelSpec(arch, in_dim=6, num_classes=2, layers=3, hidden=4, heads=2)
     model = init_parameters(spec, seed=1)
     context = build_context(ds.graph)
-    a = forward(model, ds, context, True, SplitMix64(4))
-    b = forward_backward(model, ds, context, True, SplitMix64(4))[0]
+    a = forward_backward(model, ds, context, SplitMix64(4))[0]
+    b = forward_backward(model, ds, context, rng=SplitMix64(4))[0]
     assert np.array_equal(a, b)
 
 
@@ -255,14 +254,15 @@ def test_mlp_ignores_graph_structure():
     ds = _random_dataset()
     spec = ModelSpec("mlp", in_dim=6, num_classes=2, layers=3, hidden=4)
     model = init_parameters(spec, seed=2)
-    logits = forward(model, ds, build_context(ds.graph))
+    logits = forward_backward(model, ds, build_context(ds.graph))[0]
     rewired = Dataset(
         from_edge_list(ds.num_nodes, [(i, (i + 1) % ds.num_nodes) for i in range(ds.num_nodes)]),
         ds.features,
         ds.labels,
         ds.num_classes,
     )
-    assert np.array_equal(forward(model, rewired, build_context(rewired.graph)), logits)
+    rewired_logits = forward_backward(model, rewired, build_context(rewired.graph))[0]
+    assert np.array_equal(rewired_logits, logits)
 
 
 @pytest.mark.parametrize("arch", ["gcn", "graph_transformer"])
@@ -270,7 +270,7 @@ def test_graph_models_are_permutation_equivariant(arch):
     ds = _random_dataset(n=10, seed=3)
     spec = ModelSpec(arch, in_dim=6, num_classes=2, layers=3, hidden=4, heads=2)
     model = init_parameters(spec, seed=5)
-    logits = forward(model, ds, build_context(ds.graph))
+    logits = forward_backward(model, ds, build_context(ds.graph))[0]
 
     perm = np.random.default_rng(0).permutation(ds.num_nodes)
     inv = np.argsort(perm)
@@ -283,7 +283,7 @@ def test_graph_models_are_permutation_equivariant(arch):
         ds.labels[inv],
         ds.num_classes,
     )
-    permuted_logits = forward(model, permuted, build_context(permuted.graph))
+    permuted_logits = forward_backward(model, permuted, build_context(permuted.graph))[0]
     assert np.abs(permuted_logits - logits[inv]).max() < 1e-10
 
 
@@ -296,11 +296,11 @@ def test_single_step_decreases_training_loss(arch):
     context = build_context(ds.graph)
     state = AdamState(model.parameters)
 
-    logits, backward = forward_backward(model, ds, context, training=True)
+    logits, backward = forward_backward(model, ds, context, SplitMix64(0))
     loss_before, d_logits = cross_entropy(logits, ds.labels, mask)
     backward(d_logits)
     adam_step(model.parameters, state, TrainSpec())
-    loss_after, _ = cross_entropy(forward(model, ds, context=context), ds.labels, mask)
+    loss_after, _ = cross_entropy(forward_backward(model, ds, context=context)[0], ds.labels, mask)
     assert loss_after < loss_before
 
 
@@ -323,7 +323,7 @@ def test_csr_features_match_dense_features(arch):
     for x in (dense, csr_array(dense)):
         model = init_parameters(spec, seed=1)
         data = Dataset(ds.graph, x, ds.labels, 3)
-        logits, backward = forward_backward(model, data, context, True, SplitMix64(2))
+        logits, backward = forward_backward(model, data, context, SplitMix64(2))
         backward(d_logits)
         runs.append((logits, {name: p.grad for name, p in model.parameters.items()}))
     (dense_logits, dense_grads), (csr_logits, csr_grads) = runs
@@ -370,7 +370,7 @@ def test_backward_skips_only_the_layer0_input_gradient(arch, monkeypatch):
             for name in ("gcn_layer", "graph_transformer_layer", "mlp_layer"):
                 m.setattr(models, name, spy(getattr(models, name)))
             model = init_parameters(spec, seed=1)
-            logits, backward = forward_backward(model, ds, context, True, SplitMix64(2))
+            logits, backward = forward_backward(model, ds, context, SplitMix64(2))
             assert backward(d_logits) is None
         return {name: p.grad for name, p in model.parameters.items()}, seen
 
@@ -599,21 +599,13 @@ def test_gt_backward_handles_isolated_nodes():
         assert rel_error(p.grad, numeric_grad(loss, p.value)) < 1e-5
 
 
-def test_training_dropout_requires_rng():
-    ds = _random_dataset()
-    spec = ModelSpec("mlp", in_dim=6, num_classes=2, layers=2, hidden=4, dropout=0.5)
-    model = init_parameters(spec, seed=0)
-    with pytest.raises(ValueError, match="rng"):
-        forward(model, ds, build_context(ds.graph), training=True)
-
-
 def test_dropout_mask_regenerated_each_training_step():
     ds = _random_dataset()
     spec = ModelSpec("mlp", in_dim=6, num_classes=2, layers=2, hidden=32, dropout=0.5)
     model = init_parameters(spec, seed=0)
     rng, context = SplitMix64(0), build_context(ds.graph)
-    first = forward(model, ds, context, training=True, rng=rng)
-    second = forward(model, ds, context, training=True, rng=rng)  # same stream advances
+    first = forward_backward(model, ds, context, rng=rng)[0]
+    second = forward_backward(model, ds, context, rng=rng)[0]  # same stream advances
     assert not np.array_equal(first, second)
 
 
@@ -623,8 +615,9 @@ def test_forward_requires_features_and_matching_dim():
     model = init_parameters(spec, seed=0)
     context = build_context(ds.graph)
     with pytest.raises(ValueError):
-        forward(model, ds, context)  # dim mismatch 6 vs 9
+        forward_backward(model, ds, context)  # dim mismatch 6 vs 9
     bare = Dataset(ds.graph, None, ds.labels, ds.num_classes)
     with pytest.raises(ValueError):
-        forward(init_parameters(ModelSpec("gcn", in_dim=6, num_classes=2), 0), bare, context)
+        model = init_parameters(ModelSpec("gcn", in_dim=6, num_classes=2), 0)
+        forward_backward(model, bare, context)
 

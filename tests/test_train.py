@@ -207,6 +207,14 @@ def test_stops_after_patience_without_improvement():
     assert _train_constant_val(TrainSpec(patience=1)).epochs_ran <= 2
 
 
+def test_train_snapshots_parameters_only_on_a_new_best(monkeypatch):
+    calls = []
+    snapshot = models.Model.snapshot
+    monkeypatch.setattr(models.Model, "snapshot", lambda self: calls.append(1) or snapshot(self))
+    result = _train_constant_val(TrainSpec(patience=3))
+    assert (result.epochs_ran, len(calls)) == (4, 1)  # epoch 1's best; no copy before it
+
+
 def test_stop_reason_names_patience_or_epoch_cap():
     results = {
         (epochs, patience): _train_constant_val(TrainSpec(epochs=epochs, patience=patience))
@@ -287,7 +295,7 @@ def _reference_train(model, ds, split, tspec, seed):
     state = AdamState(model.parameters)
     losses, vals, best_val, best_params = [], [], -1.0, model.snapshot()
     for _ in range(tspec.epochs):
-        logits, backward = forward_backward(model, ds, context, training=True, rng=rng)
+        logits, backward = forward_backward(model, ds, context, rng=rng)
         loss, d_logits = cross_entropy(logits, ds.labels, split.train)
         backward(d_logits)
         adam_step(model.parameters, state, tspec)
@@ -437,7 +445,7 @@ def test_train_keeps_one_tape_alive(arch):
     context = build_context(dataset.graph)
 
     def step():
-        logits, backward = forward_backward(model, dataset, context, True, SplitMix64(1))
+        logits, backward = forward_backward(model, dataset, context, SplitMix64(1))
         backward(cross_entropy(logits, dataset.labels, split.train)[1])
 
     step_peak = _traced_peak(step)
@@ -455,7 +463,7 @@ def test_evaluate_keeps_no_tape():
     context = build_context(dataset.graph)
 
     def step():
-        logits, backward = forward_backward(model, dataset, context, True, SplitMix64(1))
+        logits, backward = forward_backward(model, dataset, context, SplitMix64(1))
         backward(cross_entropy(logits, dataset.labels, split.train)[1])
 
     step_peak = _traced_peak(step)
@@ -484,7 +492,7 @@ def test_backward_frees_the_tape_as_it_walks_it(arch, monkeypatch):
     dataset = generate_synthetic(40, 3, 0.2, 0.02, dim=6, seed=0)
     model = init_parameters(ModelSpec(arch, in_dim=6, num_classes=3, hidden=8, heads=2), 0)
     context = build_context(dataset.graph)
-    logits, backward = forward_backward(model, dataset, context, True, SplitMix64(1))
+    logits, backward = forward_backward(model, dataset, context, SplitMix64(1))
     backward(np.ones_like(logits))
     assert dead_above == [[True] * k for k in range(4)]
     assert all(ref() is None for ref in refs)
