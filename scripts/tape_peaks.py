@@ -6,12 +6,12 @@ Trains every architecture for ``EPOCHS`` epochs on a Cora-shaped synthetic graph
 32 dense columns, like the ``cora_narrow`` benchmark workload's embeddings,
 and 1,433 columns held as CSR at Cora's TF-IDF density (1.3% nonzero), like
 ``cora_wide``. For each phase of ``train`` (the training forward, its
-backward, the Adam step and the validation ``evaluate``) it prints the peak
-of traced memory while the phase runs, in MB. Each peak is reset at the
-phase's start, so it includes what is alive from earlier phases: the model,
-Adam state, snapshot and the tape. ``run`` is the peak of the whole
-``train`` call. Tracing starts after the dataset is built, so the feature
-matrix is not counted.
+backward, the Adam step and the ``evaluate`` that scores the validation and
+test nodes) it prints the peak of traced memory while the phase runs, in
+MB. Each peak is reset at the phase's start, so it includes what is alive
+from earlier phases: the model, Adam state, snapshot and the tape. ``run``
+is the peak of the whole ``train`` call. Tracing starts after the dataset
+is built, so the feature matrix is not counted.
 
     python3 scripts/tape_peaks.py
 """

@@ -252,16 +252,13 @@ def _fetch_batch(spec: EncoderSpec, texts: list[str]) -> list[np.ndarray]:
         )
     rows = []
     for index, vec in enumerate(vectors):
-        try:
-            row = np.asarray(vec, dtype=np.float32)
-            if row.ndim != 1:
-                raise ValueError(f"expected a list of numbers, got shape {row.shape}")
-        except (TypeError, ValueError) as exc:
-            raise RemoteEmbeddingError(
-                f"endpoint {spec.endpoint} returned a malformed vector at index {index}: {exc}"
-            ) from exc
+        if not (isinstance(vec, list) and set(map(type, vec)) <= {int, float}):  # not bool
+            raise RemoteEmbeddingError(f"endpoint {spec.endpoint} returned a malformed vector"
+                                       f" at index {index}: expected a flat list of numbers")
+        row = np.asarray(vec, dtype=np.float32)
         if not np.isfinite(row).all():
-            raise RemoteEmbeddingError(f"endpoint {spec.endpoint} returned non-finite values")
+            raise RemoteEmbeddingError(
+                f"endpoint {spec.endpoint} returned non-finite values at index {index}")
         rows.append(row.reshape(1, -1))
     widths = {row.shape[1] for row in rows}
     if len(widths) > 1:

@@ -1,21 +1,23 @@
 """Adam, the training loop with early stopping, evaluation, aggregation.
 
 Protocol per run: every epoch does a training forward, cross-entropy
-on the train mask, a full backward pass, one Adam step, then a validation
-accuracy check. That validation forward hands its layer-0 output and
-backward to the next epoch's training forward, so layer 0 runs once per
-epoch; nothing changes between the two calls, so results are bit-identical.
+on the train mask, a full backward pass, one Adam step, then one
+evaluation forward that scores the validation and test nodes. It hands
+its layer-0 output and backward to the next epoch's training forward, so
+layer 0 runs once per epoch; nothing changes between the two calls, so
+results are bit-identical.
 The training forward's backward frees its tape as it walks it, and the
-validation forward keeps none, so one tape at most is alive, and ``train``
+evaluation forward keeps none, so one tape at most is alive, and ``train``
 fixes glibc's malloc thresholds so that freed tapes are reused rather than
 returned to the kernel.
 Training stops after ``patience`` consecutive epochs without a new best
 validation accuracy, or at the epoch cap; the run's ``stop_reason`` says
-which (``"patience"`` or ``"epoch_cap"``). The reported test accuracy
-always belongs to the best-validation parameter snapshot, which is
-restored into the model before returning. A non-finite training loss or
-gradient ends the run with a ``FloatingPointError`` naming the epoch (and,
-for a gradient, the first bad parameter).
+which (``"patience"`` or ``"epoch_cap"``). The reported test accuracy is
+the best-validation epoch's, from the same forward and so from the
+parameter snapshot taken then, which is restored into the model before
+returning; no forward runs after the last epoch. A non-finite training
+loss or gradient ends the run with a ``FloatingPointError`` naming the
+epoch (and, for a gradient, the first bad parameter).
 
 Weight decay is coupled (added to the gradient before the moment updates),
 matching common GNN framework defaults. Early stopping monitors validation
@@ -98,22 +100,25 @@ def adam_step(parameters: dict[str, Parameter], state: AdamState, spec: TrainSpe
 def evaluate(
     model: Model,
     dataset: Dataset,
-    mask: np.ndarray,
+    split: SplitMask,
     context: PropagationContext,
     layer0: list | None = None,
-) -> float:
-    """Fraction of masked nodes whose argmax logit matches the label.
+) -> tuple[float, float]:
+    """``(val_acc, test_acc)`` from one evaluation forward: per mask, the
+    fraction of its nodes whose argmax logit matches the label.
 
-    Argmax ties resolve to the lowest class id. A ``layer0`` list receives
-    the forward's layer-0 pair (see ``models.forward_backward``).
+    Argmax ties resolve to the lowest class id; an empty validation or test
+    mask raises ValueError. A ``layer0`` list receives the forward's
+    layer-0 pair (see ``models.forward_backward``).
     """
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
+    masks = [np.asarray(mask, dtype=np.int64) for mask in (split.val, split.test)]
+    if any(mask.size == 0 for mask in masks):
         raise ValueError("evaluate over an empty mask")
     # through the module: a wrapper on this module's forward_backward sees training forwards only
     logits = models.forward_backward(model, dataset, context, layer0=layer0)[0]
-    predictions = np.argmax(logits[mask], axis=1)
-    return float(np.mean(predictions == dataset.labels[mask]))
+    return tuple(
+        float(np.mean(np.argmax(logits[mask], axis=1) == dataset.labels[mask])) for mask in masks
+    )
 
 
 @dataclass
@@ -169,28 +174,26 @@ def train(
     rng = SplitMix64(seed).split()
     state = AdamState(model.parameters)
 
-    best_val = -1.0
+    best_val = best_test = -1.0
     best_epoch = 0
     best_params = None  # epoch 1 always sets it: any accuracy beats best_val
     losses: list[float] = []
     vals: list[float] = []
-    epochs_ran = 0
     stop_reason = "epoch_cap"
-    layer0: list = []  # layer 0's pair, from each validation forward to the next training one
+    layer0: list = []  # layer 0's pair, from each evaluation forward to the next training one
 
     for epoch in range(1, spec.epochs + 1):
-        epochs_ran = epoch
         logits, backward = forward_backward(model, dataset, context, rng, layer0)
         loss, d_logits = cross_entropy(logits, dataset.labels, split.train)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss {loss} at epoch {epoch}")
         backward(d_logits)  # frees the tape as it goes
         adam_step(model.parameters, state, spec)
-        val_acc = evaluate(model, dataset, split.val, context, layer0)
+        val_acc, test_acc = evaluate(model, dataset, split, context, layer0)
         losses.append(loss)
         vals.append(val_acc)
         if val_acc > best_val:
-            best_val = val_acc
+            best_val, best_test = val_acc, test_acc
             best_epoch = epoch
             best_params = model.snapshot()
         elif epoch - best_epoch >= spec.patience:
@@ -198,8 +201,7 @@ def train(
             break
 
     model.restore(best_params)
-    test_acc = evaluate(model, dataset, split.test, context)
-    return RunResult(best_val, test_acc, epochs_ran, stop_reason, losses, vals)
+    return RunResult(best_val, best_test, len(losses), stop_reason, losses, vals)
 
 
 def aggregate(results: list[RunResult]) -> tuple[float, float]:

@@ -453,6 +453,35 @@ def test_bench_failed_cell_is_recorded_not_fatal(tmp_path):
     assert "failed" in table
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bench_records_a_training_error_as_a_failed_cell(tmp_path, capsys, monkeypatch, workers):
+    config = _write_config(tmp_path, workers=workers)
+    assert main(["prepare", "--config", config]) == 0
+    assert main(["bench", "--config", config]) == 0
+    clean = (tmp_path / "out" / "bench.csv").read_text()
+    real_train = bench.train
+
+    def train(model, *args):
+        if model.spec.arch == "mlp":
+            raise FloatingPointError("non-finite training loss nan at epoch 3")
+        return real_train(model, *args)
+
+    monkeypatch.setattr(bench, "train", train)
+    capsys.readouterr()
+    assert main(["bench", "--config", config]) == 1
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "out" / "bench.csv").read_text())))
+    failed = "failed: non-finite training loss nan at epoch 3"
+    assert [(r["encoder"], r["arch"], r["status"]) for r in rows] == [
+        ("tfidf8", "gcn", "ok"), ("tfidf8", "mlp", failed),
+        ("native", "gcn", "ok"), ("native", "mlp", failed),
+    ]
+    ok_rows = [r for r in csv.DictReader(io.StringIO(clean)) if r["arch"] == "gcn"]
+    assert [r for r in rows if r["arch"] == "gcn"] == ok_rows  # the other cells are unchanged
+    table = (tmp_path / "out" / "bench.md").read_text()
+    assert [line.rsplit("|", 2)[1].strip() for line in table.splitlines()[2:]] == ["failed"] * 2
+    assert "failed" in capsys.readouterr().out
+
+
 def test_bench_unprepared_features_fail_cleanly(tmp_path):
     cfg = load_config(_write_config(tmp_path))
     result = run_bench(cfg)
@@ -669,6 +698,26 @@ def test_cli_bench_with_failed_cell_exits_nonzero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "failed" in out  # table still emitted with the failure marked
+
+
+@pytest.mark.parametrize("suffix", [".labels", ".edges"])
+def test_cli_planetoid_dataset_missing_a_file_exits_2_naming_it(tmp_path, capsys, suffix):
+    from conftest import write_planetoid
+
+    write_planetoid(tmp_path / "ds", "toy", edges=[(0, 1)], labels=[0, 1, 0, 1, 0, 1])
+    missing = tmp_path / "ds" / f"toy{suffix}"
+    missing.unlink()
+    config = _write_config(tmp_path, dataset={"kind": "planetoid", "dir": "ds", "name": "toy"})
+    capsys.readouterr()
+    assert main(["bench", "--config", config]) == 2
+    assert f"dataset file missing: {missing}" in capsys.readouterr().err
+
+
+def test_cli_train_arch_not_in_config_exits_2(tmp_path, capsys):
+    config = _write_config(tmp_path)  # archs gcn and mlp
+    code = main(["train", "--config", config, "--encoder", "native", "--arch", "graph_transformer"])
+    assert code == 2
+    assert "arch 'graph_transformer' not in config archs" in capsys.readouterr().err
 
 
 def test_cli_prepare_dead_endpoint_names_it(tmp_path, capsys):

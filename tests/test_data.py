@@ -77,6 +77,20 @@ def test_loader_names_the_file_and_line_of_a_bad_edge(tmp_path, line):
         load_planetoid(directory, "toy")
 
 
+def test_loader_skips_blank_edge_lines_and_keeps_line_numbers(tmp_path):
+    directory = _toy_files(tmp_path)  # edges (0, 1), (1, 2), (3, 0), one a line
+    edges = directory / "toy.edges"
+    plain = load_planetoid(directory, "toy").graph
+    edges.write_text("\n0 1\n\n1 2\n   \n3 0\n\n")
+    spaced = load_planetoid(directory, "toy").graph
+    assert np.array_equal(spaced.indptr, plain.indptr)
+    assert np.array_equal(spaced.indices, plain.indices)
+    with open(edges, "a") as fh:
+        fh.write("0 x\n")  # line 8, after seven lines, four of them blank
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{edges}:8: ")):
+        load_planetoid(directory, "toy")
+
+
 @pytest.mark.parametrize("lines,bad_line", [
     (["0", "1", "", "1", "0"], 3),  # a blank line would make line 4 node 2's label
     (["0", "1.0", "1", "0"], 2),

@@ -376,8 +376,10 @@ def test_remote_embed_rejects_cross_batch_dimension_mismatch(embed_server, tmp_p
 
 
 @pytest.mark.parametrize(
-    "bad", ["abc", [[1.0, 2.0], [3.0]], {"x": 1.0}, [[1.0, 2.0, 3.0, 4.0]]],
-    ids=["string", "ragged", "dict", "nested"],
+    "bad",
+    ["abc", [[1.0, 2.0], [3.0]], {"x": 1.0}, [[1.0, 2.0, 3.0, 4.0]], ["1.5", "2", "3", "4"],
+     [True, False, True, False], [1.0, math.inf, 1.0, 1.0]],
+    ids=["string", "ragged", "dict", "nested", "numeric-strings", "booleans", "non-finite"],
 )
 def test_remote_embed_rejects_malformed_vector_naming_endpoint_and_index(
     embed_server, tmp_path, bad
@@ -388,6 +390,27 @@ def test_remote_embed_rejects_malformed_vector_naming_endpoint_and_index(
         remote_embed(spec, ["a", "b", "c"])
     assert len(embed_server.requests) == 1  # a malformed payload is not retried
     assert not os.listdir(spec.resolved_cache_dir())
+
+
+def test_remote_embed_rejects_mixed_widths_within_one_batch(embed_server, tmp_path):
+    embed_server.httpd.state["vector_fn"] = lambda text, dim: [1.0] * (dim + (text == "b"))
+    spec = _remote_spec(embed_server, tmp_path, batch_size=3)
+    with pytest.raises(RemoteEmbeddingError,
+                       match=rf"{embed_server.url} returned mixed dimensions \[4, 5\]"):
+        remote_embed(spec, ["a", "b", "c"])
+    assert len(embed_server.requests) == 1
+    assert not os.listdir(spec.resolved_cache_dir())
+
+
+def test_remote_embed_rejects_a_cache_entry_of_two_rows(embed_server, tmp_path):
+    spec = _remote_spec(embed_server, tmp_path)
+    remote_embed(spec, ["hello"])
+    (entry,) = os.listdir(spec.resolved_cache_dir())
+    path = os.path.join(spec.resolved_cache_dir(), entry)
+    save_embedding_file(path, np.ones((2, 4), dtype=np.float32))
+    with pytest.raises(EmbeddingFormatError, match=re.escape(f"{path} is not a single row")):
+        remote_embed(spec, ["hello"])
+    assert len(embed_server.requests) == 1  # a cached entry is read, not fetched again
 
 
 def test_remote_embed_cache_entries_are_single_row_emb1(embed_server, tmp_path):

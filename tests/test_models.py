@@ -19,7 +19,7 @@ from conftest import (
     transpose_order,
 )
 from tagforge.data import Dataset, generate_synthetic, split_high
-from tagforge.gradcheck import numeric_grad, rel_error
+from tagforge.gradcheck import TOLERANCE, numeric_grad, rel_error
 from tagforge.graph import from_edge_list, normalize_adjacency, spmm
 from tagforge.models import (
     ARCHITECTURES,
@@ -379,6 +379,37 @@ def test_backward_skips_only_the_layer0_input_gradient(arch, monkeypatch):
     full, _ = walk(force_input_grad=True)
     for name, grad in full.items():
         assert np.array_equal(skipped[name], grad), name
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_whole_model_gradients_match_finite_differences(arch, sparse):
+    """Every parameter gradient of a 3-layer model, from forward_backward's
+    backward, against central differences of the same loss. Each forward
+    draws its dropout masks from a fresh SplitMix64(3), so every loss
+    evaluation sees the same masks; the tape's order, layer 0's
+    ``input_grad=False`` and the layers' in-place adds are all under test."""
+    ds = generate_synthetic(8, 2, p_in=0.9, p_out=0.3, dim=3, sep=1.0, seed=4)
+    features = ds.features
+    if sparse:
+        features = csr_array(np.where(SplitMix64(5).random(features.shape) < 0.4, 0.0, features))
+    data = Dataset(ds.graph, features, ds.labels, 2)
+    model = init_parameters(ModelSpec(arch, in_dim=3, num_classes=2, layers=3, hidden=8,
+                                      heads=2), seed=2)
+    rng = SplitMix64(6)
+    for name, p in model.parameters.items():
+        if name.endswith(".b"):  # non-zero biases keep zero-feature rows off ReLU's kink
+            p.value[...] = rng.normal(p.value.shape)
+    context = build_context(ds.graph)
+    weights = rng.normal((8, 2))
+
+    def loss():
+        return float((forward_backward(model, data, context, SplitMix64(3))[0] * weights).sum())
+
+    logits, backward = forward_backward(model, data, context, SplitMix64(3))
+    backward(weights)  # d loss / d logits
+    for name, p in model.parameters.items():
+        assert rel_error(p.grad, numeric_grad(loss, p.value)) <= TOLERANCE, name
 
 
 def test_tperm_reordered_weights_give_transposed_product():

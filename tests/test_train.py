@@ -131,25 +131,33 @@ def _tiny_dataset(labels):
     return Dataset(graph, features, np.array(labels), int(max(labels)) + 1)
 
 
+def _masks(val, test=None):
+    """A split that ``evaluate`` reads: its val and test masks (test defaults to val)."""
+    return SplitMask(np.array([], dtype=np.int64), np.asarray(val),
+                     np.asarray(val if test is None else test))
+
+
 def test_evaluate_all_correct_and_all_wrong():
     ds = _tiny_dataset([0, 0, 0, 0])
     model = _constant_logit_model()
-    assert evaluate(model, ds, np.arange(4), build_context(ds.graph)) == 1.0
+    assert evaluate(model, ds, _masks(np.arange(4)), build_context(ds.graph)) == (1.0, 1.0)
     ds_wrong = _tiny_dataset([1, 1, 1, 0])
     context = build_context(ds_wrong.graph)
-    assert evaluate(model, ds_wrong, np.array([0, 1, 2]), context) == 0.0
+    assert evaluate(model, ds_wrong, _masks(np.array([0, 1, 2])), context) == (0.0, 0.0)
 
 
 def test_evaluate_tie_break_to_lowest_class():
     ds = _tiny_dataset([0, 1, 0, 1])  # constant logits predict class 0 everywhere
     model = _constant_logit_model()
-    assert evaluate(model, ds, np.arange(4), build_context(ds.graph)) == 0.5
+    assert evaluate(model, ds, _masks(np.arange(4)), build_context(ds.graph)) == (0.5, 0.5)
 
 
 def test_evaluate_empty_mask():
     ds = _tiny_dataset([0, 1])
-    with pytest.raises(ValueError):
-        evaluate(_constant_logit_model(), ds, np.array([], dtype=int), build_context(ds.graph))
+    empty, some = np.array([], dtype=int), np.array([0])
+    for split in (_masks(empty, some), _masks(some, empty)):
+        with pytest.raises(ValueError):
+            evaluate(_constant_logit_model(), ds, split, build_context(ds.graph))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +251,8 @@ def test_reported_accuracy_matches_restored_snapshot():
     model = init_parameters(spec, 5)
     result = train(model, ds, split, TrainSpec(epochs=40), seed=5)
     context = build_context(ds.graph)
-    assert evaluate(model, ds, split.val, context) == result.best_val_acc
-    assert evaluate(model, ds, split.test, context) == result.test_acc_at_best_val
+    assert evaluate(model, ds, split, context) == (result.best_val_acc,
+                                                   result.test_acc_at_best_val)
 
 
 def test_nonfinite_loss_or_gradient_ends_the_run():
@@ -299,13 +307,13 @@ def _reference_train(model, ds, split, tspec, seed):
         loss, d_logits = cross_entropy(logits, ds.labels, split.train)
         backward(d_logits)
         adam_step(model.parameters, state, tspec)
-        val_acc = evaluate(model, ds, split.val, context)
+        val_acc = evaluate(model, ds, split, context)[0]
         losses.append(loss)
         vals.append(val_acc)
         if val_acc > best_val:
             best_val, best_params = val_acc, model.snapshot()
     model.restore(best_params)
-    return losses, vals, evaluate(model, ds, split.test, context)
+    return losses, vals, evaluate(model, ds, split, context)[1]  # a fresh test forward
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
@@ -348,11 +356,11 @@ def test_train_calls_layer0_once_per_epoch_and_uses_each_pair_once(monkeypatch, 
     result = train(init_parameters(spec, 7), ds, split, tspec, seed=7)
     epochs = result.epochs_ran
     assert epochs == tspec.epochs
-    # epoch 1's training forward, one validation forward per epoch, the test
-    # evaluate: N + 2 calls, where calling layer 0 in every forward makes 2N + 1
-    assert len(calls) == epochs + 2
+    # epoch 1's training forward and one evaluation forward per epoch: N + 1
+    # calls, where calling layer 0 in every forward makes 2N
+    assert len(calls) == epochs + 1
     # epoch 1 back-propagates its own call (0); epoch t > 1 the pair of
-    # epoch t - 1's validation forward (call t - 1), each exactly once
+    # epoch t - 1's evaluation forward (call t - 1), each exactly once
     assert backward_calls == list(range(epochs))
 
 
@@ -365,7 +373,8 @@ def test_each_epoch_starts_with_forward_backward_and_ends_with_evaluate(
 ):
     """perfbench's epoch timer starts an epoch at each ``train.forward_backward``
     call and its tracer times ``train.evaluate``: per epoch, one
-    forward_backward first and one evaluate last, plus the test evaluate."""
+    forward_backward first and one evaluate last, and nothing after the
+    last epoch."""
     log = []
 
     def logged(attr, fn):
@@ -380,9 +389,9 @@ def test_each_epoch_starts_with_forward_backward_and_ends_with_evaluate(
     result = _train_constant_val(tspec)
     assert result.stop_reason == stop_reason
     assert log.count("forward_backward") == result.epochs_ran
-    assert log.count("evaluate") == result.epochs_ran + 1
+    assert log.count("evaluate") == result.epochs_ran
     epoch = ["forward_backward", "cross_entropy", "adam_step", "evaluate"]
-    assert log == epoch * result.epochs_ran + ["evaluate"]
+    assert log == epoch * result.epochs_ran
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +476,7 @@ def test_evaluate_keeps_no_tape():
         backward(cross_entropy(logits, dataset.labels, split.train)[1])
 
     step_peak = _traced_peak(step)
-    assert _traced_peak(lambda: evaluate(model, dataset, split.val, context)) < 0.5 * step_peak
+    assert _traced_peak(lambda: evaluate(model, dataset, split, context)) < 0.5 * step_peak
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
@@ -501,7 +510,7 @@ def test_backward_frees_the_tape_as_it_walks_it(arch, monkeypatch):
 
     refs.clear()
     layer0 = []
-    evaluate(model, dataset, np.arange(40), context, layer0)
+    evaluate(model, dataset, _masks(np.arange(40)), context, layer0)
     assert [ref() is None for ref in refs] == [False, True, True, True]
     assert forward_backward(model, dataset, context)[1] is None
 
