@@ -288,7 +288,8 @@ def feature_path(cfg: BenchConfig, encoder: EncoderSpec) -> str:
 def prepare(cfg: BenchConfig, force: bool = False) -> list[str]:
     """Materialize one EMB1 file per encoder; returns the written paths.
 
-    Existing files are kept unless ``force``.
+    Existing files are kept unless ``force``. A matrix with no columns is
+    refused as a ``ConfigError`` before it is written.
     """
     dataset = None
     written = []
@@ -297,7 +298,7 @@ def prepare(cfg: BenchConfig, force: bool = False) -> list[str]:
         if os.path.exists(target) and not force:
             continue
         if encoder.kind == "file":
-            save_embedding_file(target, load_embedding_file(encoder.path))
+            matrix = load_embedding_file(encoder.path)
         else:
             if dataset is None:
                 dataset = load_bench_dataset(cfg)
@@ -310,7 +311,9 @@ def prepare(cfg: BenchConfig, force: bool = False) -> list[str]:
                 matrix, _ = tfidf(dataset.texts, encoder.vocab_size)
             else:
                 matrix = remote_embed(encoder, dataset.texts)
-            save_embedding_file(target, matrix)
+        if matrix.shape[1] == 0:
+            raise ConfigError(f"encoder {encoder.name!r} produced no feature columns")
+        save_embedding_file(target, matrix)
         written.append(target)
     return written
 

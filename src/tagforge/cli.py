@@ -1,10 +1,12 @@
 """Command-line driver: prepare | train | bench | gradcheck.
 
-Exit codes: 0 success, 1 run failure, 2 config error.
+Exit codes: 0 success, 1 run failure, 2 config error. ``train --out`` writes
+the run's ``RunResult`` as one JSON object, every float exact.
 """
 
 import argparse
 import dataclasses
+import json
 import os
 import sys
 
@@ -24,7 +26,6 @@ from .bench import (
 from .features import _atomic_write
 from .gradcheck import TOLERANCE, run_gradcheck
 from .models import ARCHITECTURES
-from .train import run_log_lines
 
 
 def _positive_int(text: str) -> int:
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--encoder", required=True, help="encoder name from the config")
     p_train.add_argument("--arch", required=True, choices=ARCHITECTURES)
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--out", help="write the per-epoch log (TSV) to this path")
+    p_train.add_argument("--out", help="write the run record (JSON) to this path")
 
     p_bench = sub.add_parser("bench", help="run the full encoder x architecture matrix")
     p_bench.add_argument("--config", required=True)
@@ -94,7 +95,7 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)  # --out is the log path here, not the out dir
+    cfg = load_config(args.config)  # --out is the record path here, not the out dir
     by_name = {e.name: e for e in cfg.encoders}
     if args.encoder not in by_name:
         raise ConfigError(f"encoder {args.encoder!r} not in config "
@@ -110,8 +111,8 @@ def _cmd_train(args) -> int:
     print(f"epochs_ran={result.epochs_ran}")
     print(f"stop_reason={result.stop_reason}")
     if args.out:
-        _atomic_write(args.out, ("\n".join(run_log_lines(result)) + "\n").encode())
-        print(f"log written to {args.out}")
+        _atomic_write(args.out, (json.dumps(dataclasses.asdict(result)) + "\n").encode())
+        print(f"record written to {args.out}")
     return 0
 
 

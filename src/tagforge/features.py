@@ -9,13 +9,15 @@ Remote protocol: ``POST <endpoint>/embed`` with JSON body
 ``{"embeddings": [[float]]}`` with one vector per input text, in order.
 Any non-200 status or transport error counts as a failure; failed batches
 are retried with exponential backoff (3 attempts total). A vector that is
-not a flat list of finite numbers fails at once, naming its index. Batches
-of cache misses start in input order on one pool of ``max_in_flight``
-threads; after a batch fails, or the caller is interrupted, no further
-batch starts, and batches already in flight finish and are cached. Every
-fetched vector is cached as ``<cache_dir>/<sha256 hex>.emb`` (EMB1, n=1), keyed by
-(model id, text), and warm-cache calls issue no requests at all. Returned
-rows are always read back from the cache, so repeat calls are bit-identical.
+not a non-empty flat list of finite numbers fails at once, naming its
+index; JSON integers are read as floats, so one too large for a float is
+infinite. Batches of cache misses start in input order on one pool of
+``max_in_flight`` threads; after a batch fails, or the caller is
+interrupted, no further batch starts, and batches already in flight
+finish and are cached. Every fetched vector is cached as
+``<cache_dir>/<sha256 hex>.emb`` (EMB1, n=1), keyed by (model id, text),
+and warm-cache calls issue no requests at all. Returned rows are always
+read back from the cache, so repeat calls are bit-identical.
 """
 
 import hashlib
@@ -223,7 +225,7 @@ def _post_embed(endpoint: str, model: str, texts: list[str], timeout: float):
         with urllib.request.urlopen(request, timeout=timeout) as response:
             if response.status != 200:
                 raise RemoteEmbeddingError(f"{url}: HTTP {response.status}")
-            payload = json.loads(response.read())
+            payload = json.loads(response.read(), parse_int=float)  # a huge integer is inf
     except urllib.error.HTTPError as exc:
         exc.close()  # the error holds the response and its socket
         raise RemoteEmbeddingError(f"{url}: {exc}") from exc
@@ -252,9 +254,9 @@ def _fetch_batch(spec: EncoderSpec, texts: list[str]) -> list[np.ndarray]:
         )
     rows = []
     for index, vec in enumerate(vectors):
-        if not (isinstance(vec, list) and set(map(type, vec)) <= {int, float}):  # not bool
-            raise RemoteEmbeddingError(f"endpoint {spec.endpoint} returned a malformed vector"
-                                       f" at index {index}: expected a flat list of numbers")
+        if not (isinstance(vec, list) and set(map(type, vec)) == {float}):
+            raise RemoteEmbeddingError(f"endpoint {spec.endpoint} returned a malformed vector at"
+                                       f" index {index}: expected a non-empty flat list of numbers")
         row = np.asarray(vec, dtype=np.float32)
         if not np.isfinite(row).all():
             raise RemoteEmbeddingError(

@@ -17,7 +17,8 @@ the best-validation epoch's, from the same forward and so from the
 parameter snapshot taken then, which is restored into the model before
 returning; no forward runs after the last epoch. A non-finite training
 loss or gradient ends the run with a ``FloatingPointError`` naming the
-epoch (and, for a gradient, the first bad parameter).
+epoch (and, for a gradient, the first bad parameter). The ``RunResult`` is
+the run's whole record; ``tagforge train --out`` writes it as JSON.
 
 Weight decay is coupled (added to the gradient before the moment updates),
 matching common GNN framework defaults. Early stopping monitors validation
@@ -129,14 +130,6 @@ class RunResult:
     stop_reason: str  # "patience" or "epoch_cap"
     loss_curve: list[float] = field(default_factory=list)
     val_curve: list[float] = field(default_factory=list)
-
-
-def run_log_lines(result: RunResult) -> list[str]:
-    """Per-epoch log lines, tab-separated: epoch, train_loss, val_acc."""
-    return [
-        f"{epoch}\t{loss:.6f}\t{val:.6f}"
-        for epoch, (loss, val) in enumerate(zip(result.loss_curve, result.val_curve), 1)
-    ]
 
 
 def _fix_malloc_thresholds() -> None:

@@ -263,8 +263,8 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             return
         dim = state["dim_override"].pop(0) if state["dim_override"] else state["dim"]
         embeddings = [state["vector_fn"](text, dim) for text in payload["texts"]]
-        body = json.dumps({"embeddings": embeddings}).encode()
-        self.send_response(200)
+        body = json.dumps(state["reply_fn"](embeddings)).encode()
+        self.send_response(state["status"])
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -289,6 +289,8 @@ class EmbedServer:
             "dim": 4,
             "dim_override": [],
             "vector_fn": _default_vector,
+            "status": 200,  # of each reply that is not an injected failure
+            "reply_fn": lambda embeddings: {"embeddings": embeddings},
         }
         # a short poll interval lets shutdown() return without waiting out the 0.5 s default
         self.thread = threading.Thread(

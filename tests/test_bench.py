@@ -3,6 +3,7 @@ table formats, determinism, and exit codes.
 """
 
 import csv
+import dataclasses
 import importlib
 import inspect
 import io
@@ -29,6 +30,7 @@ from tagforge.bench import (
     load_features,
     prepare,
     run_bench,
+    run_seed,
     to_csv,
     to_latex,
     to_markdown,
@@ -200,6 +202,16 @@ def test_config_invalid_json(tmp_path):
         ({"archs": "gcn"}, "top level: archs: expected a JSON array"),
         ({"encoders": "tfidf"}, "top level: encoders: expected a JSON array"),
         ({"archs": {"gcn": 1}}, "top level: archs: expected a JSON array"),
+        # each encoder and model field is range-checked at load
+        ({"encoders": [{"name": "", "kind": "tfidf", "vocab_size": 4}]},
+         "encoder entry '': encoder needs a name"),
+        *(({"encoders": [{k: v for k, v in _remote_encoder().items() if k != gone}]},
+           "remote encoder 'svc' requires endpoint and model")
+          for gone in ("endpoint", "model")),
+        *(({"encoders": [_remote_encoder(**{key: 0})]},
+           "batch_size and max_in_flight must be >= 1")
+          for key in ("batch_size", "max_in_flight")),
+        ({"model": {"hidden": 0}}, "model block: in_dim/hidden must be >= 1"),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, capsys, overrides, message):
@@ -353,6 +365,32 @@ def test_prepare_is_idempotent_unless_forced(tmp_path):
     assert {p: os.path.getmtime(p) for p in first} == stamps
     time.sleep(0.01)
     assert sorted(prepare(cfg, force=True)) == sorted(first)
+
+
+def test_cli_prepare_says_when_every_file_is_present(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert main(["prepare", "--config", config]) == 0
+    capsys.readouterr()
+    assert main(["prepare", "--config", config]) == 0
+    assert capsys.readouterr().out == (
+        "all feature files present; nothing to do (use --force to rebuild)\n")
+
+
+@pytest.mark.parametrize("kind", ["tfidf", "file"])
+def test_cli_prepare_refuses_an_encoder_with_no_feature_columns(tmp_path, capsys, kind):
+    # texts with no [a-z0-9] run give tfidf no vocabulary
+    from conftest import write_planetoid
+
+    write_planetoid(tmp_path / "ds", "zh", edges=[(0, 1), (1, 2), (2, 3)],
+                    labels=[0, 1, 0, 1, 0, 1], texts=["图", "节点", "文本", "分类", "图", "边"])
+    save_embedding_file(str(tmp_path / "empty.emb"), np.zeros((6, 0)))
+    encoder = ({"name": "tf", "kind": "tfidf", "vocab_size": 8} if kind == "tfidf"
+               else {"name": "tf", "kind": "file", "path": "empty.emb"})
+    config = _write_config(tmp_path, dataset={"kind": "planetoid", "dir": "ds", "name": "zh"},
+                           encoders=[encoder])
+    assert main(["prepare", "--config", config]) == 2
+    assert "config error: encoder 'tf' produced no feature columns" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "features" / "tf.emb")
 
 
 def test_prepare_checks_a_file_encoder_and_copies_it_byte_identically(tmp_path, capsys):
@@ -605,10 +643,10 @@ def test_cli_train_prints_metrics_and_is_repeatable(tmp_path, capsys):
     main(["prepare", "--config", config])
     capsys.readouterr()
     started = time.time()
-    log_path = tmp_path / "run.tsv"
+    record_path = tmp_path / "run.json"
     code = main([
         "train", "--config", config, "--encoder", "native", "--arch", "gcn",
-        "--seed", "7", "--out", str(log_path),
+        "--seed", "7", "--out", str(record_path),
     ])
     elapsed = time.time() - started
     assert code == 0
@@ -616,8 +654,14 @@ def test_cli_train_prints_metrics_and_is_repeatable(tmp_path, capsys):
     first = capsys.readouterr().out
     assert "test_acc=" in first and "epochs_ran=" in first
     assert re.search(r"^stop_reason=(patience|epoch_cap)$", first, re.MULTILINE)
-    lines = log_path.read_text().strip().splitlines()
-    assert all(len(line.split("\t")) == 3 for line in lines)
+    assert f"record written to {record_path}" in first
+    # the record is the RunResult itself, every float exact
+    cfg = load_config(config)
+    dataset = load_bench_dataset(cfg)
+    features = load_features(cfg, cfg.encoders[1], dataset)
+    expected = dataclasses.asdict(run_seed(cfg, dataset, features, "gcn", 7))
+    assert record_path.read_text().count("\n") == 1
+    assert json.loads(record_path.read_text()) == expected
     main([
         "train", "--config", config, "--encoder", "native", "--arch", "gcn", "--seed", "7",
     ])
@@ -631,7 +675,7 @@ def test_cli_train_log_keeps_previous_file_when_replace_fails(tmp_path, capsys, 
     config = _write_config(tmp_path)
     main(["prepare", "--config", config])
     logs = tmp_path / "logs"
-    log_path = logs / "run.tsv"
+    log_path = logs / "run.json"
     train = ["train", "--config", config, "--encoder", "native", "--arch", "mlp", "--out"]
     assert main(train + [str(log_path), "--seed", "1"]) == 0
     previous = log_path.read_bytes()
@@ -643,7 +687,7 @@ def test_cli_train_log_keeps_previous_file_when_replace_fails(tmp_path, capsys, 
     assert main(train + [str(log_path), "--seed", "2"]) == 1
     assert "disk full" in capsys.readouterr().err
     assert log_path.read_bytes() == previous
-    assert os.listdir(logs) == ["run.tsv"]
+    assert os.listdir(logs) == ["run.json"]
 
 
 def test_cli_train_matches_one_seed_bench(tmp_path, capsys):

@@ -108,6 +108,15 @@ def test_loader_names_the_file_and_line_of_a_bad_label(tmp_path, lines, bad_line
             load_planetoid(directory, "toy")
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+def test_loader_rejects_a_labels_file_without_labels(tmp_path, text):
+    directory = _toy_files(tmp_path)
+    labels = directory / "toy.labels"
+    labels.write_text(text)
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{labels}: no labels")):
+        load_planetoid(directory, "toy")
+
+
 def test_loader_rejects_missing_class(tmp_path):
     directory = _toy_files(tmp_path, labels=[0, 2, 0, 2])  # class 1 absent
     with pytest.raises(DatasetFormatError):

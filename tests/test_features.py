@@ -378,8 +378,9 @@ def test_remote_embed_rejects_cross_batch_dimension_mismatch(embed_server, tmp_p
 @pytest.mark.parametrize(
     "bad",
     ["abc", [[1.0, 2.0], [3.0]], {"x": 1.0}, [[1.0, 2.0, 3.0, 4.0]], ["1.5", "2", "3", "4"],
-     [True, False, True, False], [1.0, math.inf, 1.0, 1.0]],
-    ids=["string", "ragged", "dict", "nested", "numeric-strings", "booleans", "non-finite"],
+     [True, False, True, False], [1.0, math.inf, 1.0, 1.0], [], [10**400, 1.0, 1.0, 1.0]],
+    ids=["string", "ragged", "dict", "nested", "numeric-strings", "booleans", "non-finite",
+         "empty", "huge-integer"],
 )
 def test_remote_embed_rejects_malformed_vector_naming_endpoint_and_index(
     embed_server, tmp_path, bad
@@ -389,6 +390,25 @@ def test_remote_embed_rejects_malformed_vector_naming_endpoint_and_index(
     with pytest.raises(RemoteEmbeddingError, match=rf"{embed_server.url} .* index 1\b"):
         remote_embed(spec, ["a", "b", "c"])
     assert len(embed_server.requests) == 1  # a malformed payload is not retried
+    assert not os.listdir(spec.resolved_cache_dir())
+
+
+@pytest.mark.parametrize(
+    "status, reply_fn, message, attempts",
+    [(201, lambda embeddings: {"embeddings": embeddings}, "HTTP 201", 3),
+     (200, lambda embeddings: {"vectors": embeddings}, "response missing 'embeddings'", 3),
+     (200, lambda embeddings: {"embeddings": embeddings[:-1]}, "returned 1 vectors for 2 texts",
+      1)],
+    ids=["status-201", "no-embeddings", "one-vector-short"],
+)
+def test_remote_embed_refuses_a_reply_it_cannot_use(
+    embed_server, tmp_path, status, reply_fn, message, attempts
+):
+    embed_server.httpd.state.update(status=status, reply_fn=reply_fn)
+    spec = _remote_spec(embed_server, tmp_path, batch_size=8)
+    with pytest.raises(RemoteEmbeddingError, match=message):
+        remote_embed(spec, ["a", "b"])
+    assert len(embed_server.requests) == attempts  # a bad reply is retried, a bad payload not
     assert not os.listdir(spec.resolved_cache_dir())
 
 

@@ -35,7 +35,6 @@ from tagforge.train import (
     adam_step,
     aggregate,
     evaluate,
-    run_log_lines,
     train,
 )
 
@@ -276,6 +275,21 @@ def test_train_rejects_bad_split():
         train(init_parameters(ModelSpec("mlp", in_dim=8, num_classes=2), 0), ds, bad, TrainSpec())
 
 
+@pytest.mark.parametrize("split, message", [
+    (SplitMask(np.array([], dtype=np.int64), np.arange(0, 10), np.arange(10, 20)),
+     "train set is empty"),
+    (SplitMask(np.arange(0, 10), np.arange(10, 20), np.array([20, 60])),
+     "test set has node ids out of range"),
+    (SplitMask(np.arange(0, 10), np.array([10, 11, 11]), np.arange(20, 30)),
+     "val set has duplicate node ids"),
+], ids=["empty", "out-of-range", "duplicate"])
+def test_train_names_the_bad_set_of_a_split(split, message):
+    ds, _ = _toy()  # 60 nodes
+    with pytest.raises(ValueError, match=message):
+        train(init_parameters(ModelSpec("mlp", in_dim=8, num_classes=2), 0), ds, split,
+              TrainSpec())
+
+
 # ---------------------------------------------------------------------------
 # layer-0 handoff and the per-epoch call shape
 
@@ -424,12 +438,6 @@ def test_aggregate_needs_at_least_one_run():
     with pytest.raises(ValueError):
         aggregate([])
     assert aggregate([_result(0.55)]) == (0.55, 0.0)
-
-
-def test_run_log_lines_field_order():
-    result = RunResult(0.9, 0.8, 2, "epoch_cap", loss_curve=[0.5, 0.25], val_curve=[0.7, 0.9])
-    lines = run_log_lines(result)
-    assert lines == ["1\t0.500000\t0.700000", "2\t0.250000\t0.900000"]
 
 
 def _traced_peak(fn) -> int:
