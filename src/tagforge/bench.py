@@ -34,10 +34,10 @@ from a config to a trained run; ``run_cell`` and ``tagforge train`` both go
 through them. Sparse feature matrices (TF-IDF, bag-of-words) stay CSR.
 
 ``split.seed`` is optional: when present the same split is reused for every
-run; when absent each run re-draws its split from the run seed. Prepared
-features live under ``<output.dir>/features/<encoder>.emb``; ``prepare``
-materializes them (TF-IDF and remote encoders embed the dataset texts, file
-encoders are checked and copied) and skips existing files unless forced.
+run; when absent each run re-draws its split from the run seed. On every call
+``prepare`` builds each encoder's features (TF-IDF and remote encoders embed
+the texts, file encoders are checked and copied) into ``feature_path``, named
+by a digest of the dataset block and the entry, and deletes older files.
 
 Cell runs are scheduled onto a bounded worker pool; every run owns its
 model and RNG, and output ordering is fixed by config order, so identical
@@ -46,12 +46,13 @@ the table is still emitted.
 """
 
 import csv
+import hashlib
 import inspect
 import io
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -282,21 +283,19 @@ def load_bench_dataset(cfg: BenchConfig) -> Dataset:
 
 
 def feature_path(cfg: BenchConfig, encoder: EncoderSpec) -> str:
-    return os.path.join(cfg.out_dir, "features", f"{encoder.name}.emb")
+    """``<out>/features/<name>/<key>.emb``, keyed by the dataset block and the entry."""
+    entry = json.dumps([cfg.dataset, asdict(encoder)], sort_keys=True)
+    key = hashlib.sha256(entry.encode()).hexdigest()[:16]
+    return os.path.join(cfg.out_dir, "features", encoder.name, f"{key}.emb")
 
 
-def prepare(cfg: BenchConfig, force: bool = False) -> list[str]:
-    """Materialize one EMB1 file per encoder; returns the written paths.
-
-    Existing files are kept unless ``force``. A matrix with no columns is
-    refused as a ``ConfigError`` before it is written.
-    """
+def prepare(cfg: BenchConfig) -> list[str]:
+    """Build every encoder's EMB1 file at its ``feature_path``, delete the encoder's
+    other ``.emb`` files, and return the written paths. A matrix with no
+    columns is refused as a ``ConfigError`` before it is written."""
     dataset = None
     written = []
     for encoder in cfg.encoders:
-        target = feature_path(cfg, encoder)
-        if os.path.exists(target) and not force:
-            continue
         if encoder.kind == "file":
             matrix = load_embedding_file(encoder.path)
         else:
@@ -313,7 +312,12 @@ def prepare(cfg: BenchConfig, force: bool = False) -> list[str]:
                 matrix = remote_embed(encoder, dataset.texts)
         if matrix.shape[1] == 0:
             raise ConfigError(f"encoder {encoder.name!r} produced no feature columns")
+        target = feature_path(cfg, encoder)
         save_embedding_file(target, matrix)
+        folder, kept = os.path.split(target)
+        for name in os.listdir(folder):
+            if name.endswith(".emb") and name != kept:
+                os.remove(os.path.join(folder, name))
         written.append(target)
     return written
 

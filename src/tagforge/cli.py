@@ -42,10 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_prepare = sub.add_parser("prepare", help="materialize feature files for every encoder")
+    p_prepare = sub.add_parser("prepare", help="build every encoder's feature file anew")
     p_prepare.add_argument("--config", required=True)
-    p_prepare.add_argument("--force", action="store_true",
-                           help="rewrite feature files even if present")
     p_prepare.add_argument("--out", help="override the output directory")
 
     p_train = sub.add_parser("train", help="single training run for one encoder and arch")
@@ -62,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--format", choices=FORMAT_ALIASES,
                          help="override the table format")
     p_bench.add_argument("--out", help="override the output directory")
-    p_bench.add_argument("--force", action="store_true",
-                         help="re-prepare features before running")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every backward rule")
     p_grad.add_argument("--seeds", type=_positive_int, default=5,
@@ -86,11 +82,8 @@ def _apply_overrides(cfg: BenchConfig, args) -> BenchConfig:
 
 def _cmd_prepare(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    written = prepare(cfg, force=args.force)
-    for path in written:
+    for path in prepare(cfg):
         print(f"wrote {path}")
-    if not written:
-        print("all feature files present; nothing to do (use --force to rebuild)")
     return 0
 
 
@@ -118,8 +111,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    if args.force:
-        prepare(cfg, force=True)
     result = run_bench(cfg, log=print)
     table = render(result, cfg.table_format)
     print()

@@ -161,6 +161,9 @@ def split_low(
     Classes are processed in ascending order, each drawing from the same
     stream, so the result is a pure function of (labels, sizes, seed).
     """
+    for key, size in (("per_class", per_class), ("n_val", n_val), ("n_test", n_test)):
+        if size < 1:
+            raise ValueError(f"{key} must be >= 1, got {size}")
     labels = np.asarray(labels, dtype=np.int64)
     classes = int(labels.max()) + 1 if num_classes is None else num_classes
     rng = SplitMix64(seed)

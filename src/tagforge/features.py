@@ -84,6 +84,8 @@ class EncoderSpec:
             raise ValueError(f"encoder kind must be one of {[*ENCODER_KINDS]}, got {self.kind!r}")
         if not self.name:
             raise ValueError("encoder needs a name")
+        if self.name in (".", "..") or "/" in self.name:  # it names a directory of its own
+            raise ValueError(f"encoder name must be one path component, got {self.name!r}")
         if not 0 < self.timeout < float("inf"):
             raise ValueError(f"timeout must be a positive number of seconds, got {self.timeout!r}")
         if not 0 <= self.retry_base_delay < float("inf"):

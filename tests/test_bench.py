@@ -38,7 +38,7 @@ from tagforge.bench import (
 )
 from tagforge.cli import _build_parser, main
 from tagforge.data import generate_synthetic, load_planetoid, split_high, split_low
-from tagforge.features import EncoderSpec, save_embedding_file
+from tagforge.features import EncoderSpec, load_embedding_file, save_embedding_file
 from tagforge.gradcheck import run_gradcheck
 from tagforge.models import ModelSpec
 from tagforge.train import TrainSpec
@@ -212,6 +212,10 @@ def test_config_invalid_json(tmp_path):
            "batch_size and max_in_flight must be >= 1")
           for key in ("batch_size", "max_in_flight")),
         ({"model": {"hidden": 0}}, "model block: in_dim/hidden must be >= 1"),
+        # an encoder's name names its features directory
+        *(({"encoders": [{"name": name, "kind": "tfidf", "vocab_size": 4}]},
+           f"encoder entry {re.escape(repr(name))}: encoder name must be one path component")
+          for name in (".", "..", "../escaped", "a/b", "/abs")),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, capsys, overrides, message):
@@ -350,30 +354,57 @@ def test_prepare_tfidf_writes_emb1_with_node_rows(tmp_path):
     cfg = load_config(config)
     written = prepare(cfg)
     assert written == [feature_path(cfg, cfg.encoders[0])]
-    from tagforge.features import load_embedding_file
-
     matrix = load_embedding_file(written[0])
     assert matrix.shape[0] == 5
 
 
-def test_prepare_is_idempotent_unless_forced(tmp_path):
+def test_prepare_twice_writes_byte_identical_files(tmp_path):
     cfg = load_config(_write_config(tmp_path))
     first = prepare(cfg)
-    assert len(first) == 2
-    stamps = {p: os.path.getmtime(p) for p in first}
-    assert prepare(cfg) == []
-    assert {p: os.path.getmtime(p) for p in first} == stamps
-    time.sleep(0.01)
-    assert sorted(prepare(cfg, force=True)) == sorted(first)
+    assert first == [feature_path(cfg, encoder) for encoder in cfg.encoders]
+    built = [Path(path).read_bytes() for path in first]
+    assert prepare(cfg) == first  # every call builds every file
+    assert [Path(path).read_bytes() for path in first] == built
+    for path in first:
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
 
 
-def test_cli_prepare_says_when_every_file_is_present(tmp_path, capsys):
-    config = _write_config(tmp_path)
+def test_a_changed_encoder_entry_is_never_trained_on_until_prepare_rebuilds_it(tmp_path, capsys):
+    native = {"name": "native", "kind": "file", "path": "native.emb"}
+    config = _write_config(tmp_path)  # tfidf8 at vocab_size 8
     assert main(["prepare", "--config", config]) == 0
+    old = load_config(config)
+    native_path = feature_path(old, old.encoders[1])
+    native_bytes = Path(native_path).read_bytes()
+
+    _write_config(tmp_path, encoders=[{"name": "tfidf8", "kind": "tfidf", "vocab_size": 4}, native])
+    cfg = load_config(config)
+    assert feature_path(cfg, cfg.encoders[0]) != feature_path(old, old.encoders[0])
     capsys.readouterr()
+    assert main(["bench", "--config", config]) == 1
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "out" / "bench.csv").read_text())))
+    statuses = [row["status"] for row in rows]  # tfidf8 x (gcn, mlp), then native
+    assert statuses[2:] == ["ok", "ok"]
+    assert all(s.startswith("failed: features not prepared for encoder 'tfidf8'")
+               for s in statuses[:2])
+    assert main(["train", "--config", config, "--encoder", "tfidf8", "--arch", "gcn"]) == 1
+    assert "features not prepared for encoder 'tfidf8'" in capsys.readouterr().err
+
     assert main(["prepare", "--config", config]) == 0
-    assert capsys.readouterr().out == (
-        "all feature files present; nothing to do (use --force to rebuild)\n")
+    rebuilt = feature_path(cfg, cfg.encoders[0])
+    assert os.listdir(os.path.dirname(rebuilt)) == [os.path.basename(rebuilt)]
+    assert load_embedding_file(rebuilt).shape == (40, 4)
+    assert feature_path(cfg, cfg.encoders[1]) == native_path
+    assert Path(native_path).read_bytes() == native_bytes
+    assert main(["bench", "--config", config]) == 0
+
+
+def test_an_encoder_name_may_hold_dots_and_spaces(tmp_path):
+    cfg = load_config(_write_config(
+        tmp_path, encoders=[{"name": name, "kind": "tfidf", "vocab_size": 4}
+                            for name in ("...", ".hidden", "tf idf.v2")]))
+    assert [os.path.basename(os.path.dirname(feature_path(cfg, e))) for e in cfg.encoders] == [
+        "...", ".hidden", "tf idf.v2"]
 
 
 @pytest.mark.parametrize("kind", ["tfidf", "file"])
@@ -390,7 +421,8 @@ def test_cli_prepare_refuses_an_encoder_with_no_feature_columns(tmp_path, capsys
                            encoders=[encoder])
     assert main(["prepare", "--config", config]) == 2
     assert "config error: encoder 'tf' produced no feature columns" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "out" / "features" / "tf.emb")
+    cfg = load_config(config)
+    assert not os.path.exists(feature_path(cfg, cfg.encoders[0]))
 
 
 def test_prepare_checks_a_file_encoder_and_copies_it_byte_identically(tmp_path, capsys):
@@ -404,7 +436,8 @@ def test_prepare_checks_a_file_encoder_and_copies_it_byte_identically(tmp_path, 
 
     source.write_bytes(valid)
     assert main(["prepare", "--config", config]) == 0
-    assert (tmp_path / "out" / "features" / "f.emb").read_bytes() == valid
+    cfg = load_config(config)
+    assert Path(feature_path(cfg, cfg.encoders[0])).read_bytes() == valid
 
 
 def test_prepare_requires_texts_for_tfidf(tmp_path):
@@ -816,13 +849,26 @@ def test_cli_bench_format_and_out_overrides(tmp_path, capsys):
     code = main(["bench", "--config", config, "--format", "tex", "--out", str(out_dir)])
     capsys.readouterr()
     assert code == 1  # --out moved the dir, so prepared features are elsewhere
-    # with --force the features are re-prepared into the new out dir
-    code = main(["bench", "--config", config, "--format", "tex", "--out", str(out_dir),
-                 "--force"])
+    assert main(["prepare", "--config", config, "--out", str(out_dir)]) == 0
+    code = main(["bench", "--config", config, "--format", "tex", "--out", str(out_dir)])
     capsys.readouterr()
     assert code == 0
     assert os.path.exists(out_dir / "bench.tex")
     assert os.path.exists(out_dir / "bench.csv")
+
+
+def test_readme_cli_synopsis_lists_every_subcommands_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = re.search(r"^## CLI\n\n```\n(.*?)^```", readme, re.M | re.S).group(1)
+    documented = {}
+    for line in synopsis.splitlines():  # a continuation line belongs to the command above
+        if line.startswith("tagforge "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+    commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    parsed = {name: {flag for action in sub._actions for flag in action.option_strings
+                     if flag.startswith("--")} - {"--help"} for name, sub in commands.items()}
+    assert documented == parsed
 
 
 @pytest.mark.parametrize(

@@ -177,6 +177,14 @@ def test_split_low_insufficient_nodes():
         split_low(np.array([0, 0, 1, 1]), per_class=1, n_val=5, n_test=5)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("key", ["per_class", "n_val", "n_test"])
+def test_split_low_refuses_sizes_below_one(key, size):
+    sizes = {"per_class": 1, "n_val": 1, "n_test": 1, key: size}
+    with pytest.raises(ValueError, match=f"{key} must be >= 1, got {size}"):
+        split_low(np.arange(300) % 3, **sizes)
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [(1000, (600, 200, 200)), (10, (6, 2, 2)), (2708, (1624, 541, 543))],
