@@ -4,10 +4,13 @@ encoder x architecture matrix through the CLI (prepare, then bench).
 
 Three encoders exercise every no-network path: TF-IDF over the synthetic
 node documents, the generator's Gaussian features via an EMB1 file, and a
-one-hot-label EMB1 file (an embedding-quality upper bound).
+one-hot-label EMB1 file (an embedding-quality upper bound). After the bench
+it prints the sha256 of ``bench.csv`` and ``bench.md`` in ``sha256sum``
+form, so two checkouts can be compared byte for byte.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -56,7 +59,12 @@ def main() -> int:
     code = cli_main(["prepare", "--config", config_path])
     if code != 0:
         return code
-    return cli_main(["bench", "--config", config_path])
+    code = cli_main(["bench", "--config", config_path])
+    for name in ("bench.csv", "bench.md"):
+        path = os.path.join(args.dir, "out", name)
+        with open(path, "rb") as fh:
+            print(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
+    return code
 
 
 if __name__ == "__main__":

@@ -1,18 +1,16 @@
 """Command-line driver: prepare | train | bench | gradcheck.
 
-Exit codes: 0 success, 1 run failure, 2 config error. ``train --out`` writes
-the run's ``RunResult`` as one JSON object, every float exact.
+Exit codes: 0 success, 1 run failure, 2 config error. ``prepare`` and ``bench``
+take every setting from the config file. ``train --out`` writes the run's
+``RunResult`` as one JSON object, every float exact.
 """
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from .bench import (
-    FORMAT_ALIASES,
-    BenchConfig,
     ConfigError,
     load_bench_dataset,
     load_config,
@@ -44,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_prepare = sub.add_parser("prepare", help="build every encoder's feature file anew")
     p_prepare.add_argument("--config", required=True)
-    p_prepare.add_argument("--out", help="override the output directory")
 
     p_train = sub.add_parser("train", help="single training run for one encoder and arch")
     p_train.add_argument("--config", required=True)
@@ -55,11 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run the full encoder x architecture matrix")
     p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--seeds", type=int,
-                         help="override run seeds with 0..n-1")
-    p_bench.add_argument("--format", choices=FORMAT_ALIASES,
-                         help="override the table format")
-    p_bench.add_argument("--out", help="override the output directory")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every backward rule")
     p_grad.add_argument("--seeds", type=_positive_int, default=5,
@@ -67,28 +59,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: BenchConfig, args) -> BenchConfig:
-    if getattr(args, "out", None):
-        cfg.out_dir = os.path.abspath(args.out)
-    if getattr(args, "seeds", None) is not None:
-        try:
-            cfg.trainspec = dataclasses.replace(cfg.trainspec, seeds=tuple(range(args.seeds)))
-        except ValueError as exc:
-            raise ConfigError(f"--seeds {args.seeds}: {exc}") from exc
-    if getattr(args, "format", None):
-        cfg.table_format = FORMAT_ALIASES[args.format]
-    return cfg
-
-
 def _cmd_prepare(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     for path in prepare(cfg):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)  # --out is the record path here, not the out dir
+    cfg = load_config(args.config)
     by_name = {e.name: e for e in cfg.encoders}
     if args.encoder not in by_name:
         raise ConfigError(f"encoder {args.encoder!r} not in config "
@@ -110,7 +89,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     result = run_bench(cfg, log=print)
     table = render(result, cfg.table_format)
     print()

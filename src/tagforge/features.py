@@ -23,7 +23,6 @@ read back from the cache, so repeat calls are bit-identical.
 import hashlib
 import json
 import os
-import re
 import struct
 import threading
 import time
@@ -42,7 +41,8 @@ ENCODER_KINDS = {"tfidf": ("vocab_size",), "file": ("path",),
 CACHE_ENV_VAR = "TAGFORGE_CACHE"
 
 _EMB1_MAGIC = b"EMB1"
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Maps every byte but a-z and 0-9 to a space, which then ends a token.
+_TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32 for b in range(256))
 # tfidf takes row norms over dense row blocks of about this size
 _NORM_BLOCK_BYTES = 1 << 18
 
@@ -109,18 +109,20 @@ class EncoderSpec:
         return self.cache_dir or os.environ.get(CACHE_ENV_VAR)
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase alphanumeric runs."""
-    return _TOKEN_RE.findall(text.lower())
+def tokenize(text: str) -> list[bytes]:
+    """The runs of ASCII ``a-z0-9`` in ``text.lower()``, as bytes; any other
+    character, ASCII or not, ends a run."""
+    return text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).split()
 
 
 def _term_pass(corpus: list[str], vocab_size: int):
     """One tokenizing pass: (vocab, rows, cols, counts, df) of the nonzero
     (document, vocab column) counts, found by sorting integer (document,
-    term) keys. Terms are interned as they are read."""
+    term) keys. Terms are interned as they are read, so no document's tokens
+    outlive it."""
     if not corpus:
         raise ValueError("empty corpus")
-    index: dict[str, int] = {}
+    index: dict[bytes, int] = {}
     doc_terms = [[index.setdefault(t, len(index)) for t in tokenize(doc)] for doc in corpus]
     terms = list(index)
     docs = np.repeat(np.arange(len(corpus)), [len(ids) for ids in doc_terms])
@@ -134,7 +136,7 @@ def _term_pass(corpus: list[str], vocab_size: int):
     column[chosen] = np.arange(chosen.size)
     cols = column[term_ids]
     kept = cols >= 0
-    return [terms[t] for t in chosen], rows[kept], cols[kept], counts[kept], df[chosen]
+    return [terms[t].decode() for t in chosen], rows[kept], cols[kept], counts[kept], df[chosen]
 
 
 def tfidf(corpus: list[str], vocab_size: int) -> tuple[np.ndarray, list[str]]:

@@ -60,6 +60,8 @@ class TrainSpec:
             raise ValueError(f"weight decay must be >= 0 and finite, got {self.weight_decay}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
 
 
 class AdamState:

@@ -11,6 +11,7 @@ oracles above.
 import json
 import math
 import os
+import re
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -20,7 +21,6 @@ import pytest
 
 from scipy.sparse import csr_array
 
-from tagforge.features import tokenize
 from tagforge.graph import from_edge_list, segment_max, segment_sum, spmm
 from tagforge.rng import SplitMix64
 
@@ -84,6 +84,11 @@ def reference_segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray
     return out
 
 
+def reference_tokens(doc: str) -> list[str]:
+    """The lowercase alphanumeric runs of ``doc``, by a regex."""
+    return re.findall(r"[a-z0-9]+", doc.lower())
+
+
 def reference_build_vocab(corpus: list[str], vocab_size: int) -> list[str]:
     """Top terms by document frequency, ties lexicographic, from a Counter of
     each document's token set."""
@@ -91,7 +96,7 @@ def reference_build_vocab(corpus: list[str], vocab_size: int) -> list[str]:
         raise ValueError("empty corpus")
     df = Counter()
     for doc in corpus:
-        df.update(set(tokenize(doc)))
+        df.update(set(reference_tokens(doc)))
     ordered = sorted(df.items(), key=lambda item: (-item[1], item[0]))
     return [term for term, _ in ordered[:vocab_size]]
 
@@ -102,7 +107,7 @@ def reference_tfidf(corpus: list[str], vocab_size: int) -> tuple[np.ndarray, lis
     index = {term: j for j, term in enumerate(vocab)}
     counts = np.zeros((len(corpus), len(vocab)), dtype=np.float64)
     for i, doc in enumerate(corpus):
-        for token in tokenize(doc):
+        for token in reference_tokens(doc):
             j = index.get(token)
             if j is not None:
                 counts[i, j] += 1.0

@@ -216,6 +216,8 @@ def test_config_invalid_json(tmp_path):
         *(({"encoders": [{"name": name, "kind": "tfidf", "vocab_size": 4}]},
            f"encoder entry {re.escape(repr(name))}: encoder name must be one path component")
           for name in (".", "..", "../escaped", "a/b", "/abs")),
+        # a repeated seed would average two identical runs
+        ({"train": {"seeds": [0, 0]}}, "train block: seeds must be distinct"),
     ],
 )
 def test_config_rejects_bad_blocks(tmp_path, capsys, overrides, message):
@@ -491,8 +493,7 @@ def test_bench_csv_is_deterministic(tmp_path):
 def test_bench_workers_do_not_change_results(tmp_path):
     cfg = _prepared_config(tmp_path)
     serial = to_csv(run_bench(cfg))
-    cfg.workers = 3
-    assert to_csv(run_bench(cfg)) == serial
+    assert to_csv(run_bench(dataclasses.replace(cfg, workers=3))) == serial
 
 
 def test_split_seed_pins_one_split_while_default_redraws(tmp_path):
@@ -502,11 +503,11 @@ def test_split_seed_pins_one_split_while_default_redraws(tmp_path):
     ds = load_bench_dataset(cfg)
     a, b = make_split(cfg, ds, 0), make_split(cfg, ds, 1)
     assert not np.array_equal(a.train, b.train)  # per-run redraw by default
-    cfg.split["seed"] = 42
-    pinned_a, pinned_b = make_split(cfg, ds, 0), make_split(cfg, ds, 1)
+    pinned = dataclasses.replace(cfg, split={**cfg.split, "seed": 42})
+    pinned_a, pinned_b = make_split(pinned, ds, 0), make_split(pinned, ds, 1)
     assert np.array_equal(pinned_a.train, pinned_b.train)
-    cfg.split = {"protocol": "low", "per_class": 2, "n_val": 6, "n_test": 6}
-    low = make_split(cfg, ds, 3)
+    low_split = {"protocol": "low", "per_class": 2, "n_val": 6, "n_test": 6}
+    low = make_split(dataclasses.replace(cfg, split=low_split), ds, 3)
     assert (low.train.size, low.val.size, low.test.size) == (4, 6, 6)
 
 
@@ -843,18 +844,28 @@ def test_gradcheck_flags_sabotaged_backward(monkeypatch):
 
 
 def test_cli_bench_format_and_out_overrides(tmp_path, capsys):
-    config = _write_config(tmp_path)
-    main(["prepare", "--config", config])
-    out_dir = tmp_path / "alt"
-    code = main(["bench", "--config", config, "--format", "tex", "--out", str(out_dir)])
+    """The config's output block alone moves the output dir and picks the table format."""
+    config = _write_config(tmp_path, output={"dir": "alt", "format": "tex"})
+    assert main(["prepare", "--config", config]) == 0
+    assert main(["bench", "--config", config]) == 0
     capsys.readouterr()
-    assert code == 1  # --out moved the dir, so prepared features are elsewhere
-    assert main(["prepare", "--config", config, "--out", str(out_dir)]) == 0
-    code = main(["bench", "--config", config, "--format", "tex", "--out", str(out_dir)])
-    capsys.readouterr()
-    assert code == 0
-    assert os.path.exists(out_dir / "bench.tex")
-    assert os.path.exists(out_dir / "bench.csv")
+    assert sorted(os.listdir(tmp_path / "alt")) == ["bench.csv", "bench.tex", "features"]
+
+
+@pytest.mark.parametrize("command,flag", [("prepare", "--out"), ("bench", "--out"),
+                                          ("bench", "--seeds"), ("bench", "--format")])
+def test_cli_prepare_and_bench_take_no_flag_but_config(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "bench.json", flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+def test_a_loaded_config_is_frozen(tmp_path):
+    cfg = load_config(_write_config(tmp_path))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.workers = 3
+    assert dataclasses.replace(cfg, workers=3).workers == 3 and cfg.workers == 1
 
 
 def test_readme_cli_synopsis_lists_every_subcommands_flags():
@@ -869,39 +880,6 @@ def test_readme_cli_synopsis_lists_every_subcommands_flags():
     parsed = {name: {flag for action in sub._actions for flag in action.option_strings
                      if flag.startswith("--")} - {"--help"} for name, sub in commands.items()}
     assert documented == parsed
-
-
-@pytest.mark.parametrize(
-    "fmt", ["markdown", "md", "latex", "tex", "csv", "MD", "Markdown", "html", "txt", ""]
-)
-def test_cli_format_choices_are_the_config_aliases(tmp_path, capsys, fmt):
-    try:
-        load_config(_write_config(tmp_path, output={"dir": "out", "format": fmt}))
-        accepted = True
-    except ConfigError:
-        accepted = False
-    try:
-        _build_parser().parse_args(["bench", "--config", "c.json", "--format", fmt])
-        parsed = True
-    except SystemExit:
-        parsed = False
-    capsys.readouterr()
-    assert parsed == accepted
-
-
-def test_cli_seeds_override(tmp_path, capsys):
-    config = _write_config(tmp_path)
-    main(["prepare", "--config", config])
-    assert main(["bench", "--config", config, "--seeds", "3"]) == 0
-    capsys.readouterr()
-    rows = list(csv.DictReader(io.StringIO((tmp_path / "out" / "bench.csv").read_text())))
-    assert all(row["seeds"] == "0;1;2" for row in rows)
-
-
-def test_cli_zero_seeds_is_config_error(tmp_path, capsys):
-    config = _write_config(tmp_path)
-    assert main(["bench", "--config", config, "--seeds", "0"]) == 2
-    assert "seed" in capsys.readouterr().err
 
 
 def test_cli_full_matrix_on_planetoid_dataset(tmp_path, capsys):

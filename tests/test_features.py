@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import reference_tfidf
+from conftest import reference_tfidf, reference_tokens
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,19 @@ from tagforge.features import (
 
 
 def test_tokenize_lowercase_alnum_runs():
-    assert tokenize("Hello, World! x2 foo_bar") == ["hello", "world", "x2", "foo", "bar"]
+    assert tokenize("Hello, World! x2 foo_bar") == [b"hello", b"world", b"x2", b"foo", b"bar"]
+
+
+@given(text=st.text())
+@example(text="\u212aelvin")  # the Kelvin sign lowercases to an ASCII k
+@example(text="\u0130stanbul")  # İ lowercases to i and a combining dot
+@example(text="Stra\u00dfe na\u00efve")  # ß and ï end a run
+@example(text="\u03b1\u03b2\u03b3 \u03a9mega 7\u03c0")
+@example(text="a\tb\x0bc\x0cd\re\nf")
+@example(text="foo_bar a-b")
+@settings(max_examples=300, deadline=None)
+def test_tokenize_equals_the_regex_runs(text):
+    assert tokenize(text) == [token.encode() for token in reference_tokens(text)]
 
 
 def test_vocab_document_frequency_order_with_lexicographic_ties():
@@ -85,7 +97,7 @@ def test_tfidf_empty_corpus():
 _WORDS = ["a", "b", "B", "ab", "Ab", "zeta", "x1", "42", "a-b", "b!", "...", "foo_bar", ""]
 _DOCS = st.one_of(
     st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join),
-    st.text(alphabet="abAB01 ,.!-_", max_size=12),
+    st.text(alphabet="abAB01 ,.!-_\t\u212a\u0130\u00df\u00ef\u03a9", max_size=12),
 )
 
 
