@@ -51,8 +51,10 @@ import inspect
 import io
 import json
 import os
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -150,12 +152,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class BenchConfig:
-    dataset: dict
-    encoders: list[EncoderSpec]
-    archs: list[str]
-    split: dict
+    """Frozen all the way down: ``load_config`` stores the blocks as read-only
+    mappings and the lists as tuples, so no caller edits a loaded config."""
+
+    dataset: Mapping
+    encoders: tuple[EncoderSpec, ...]
+    archs: tuple[str, ...]
+    split: Mapping
     trainspec: TrainSpec
-    model: dict
+    model: Mapping
     out_dir: str
     table_format: str
     workers: int
@@ -271,7 +276,8 @@ def load_config(path: str) -> BenchConfig:
     output = _coerce(path, "output block", top["output"], _OUTPUT_KEYS)
     if top["workers"] < 1:
         raise ConfigError(f"{path}: workers must be >= 1")
-    return BenchConfig(dataset, encoders, archs, split, trainspec, model,
+    dataset, split, model = map(MappingProxyType, (dataset, split, model))
+    return BenchConfig(dataset, tuple(encoders), tuple(archs), split, trainspec, model,
                        resolve(output["dir"]), output["format"], top["workers"])
 
 
@@ -284,7 +290,7 @@ def load_bench_dataset(cfg: BenchConfig) -> Dataset:
 
 def feature_path(cfg: BenchConfig, encoder: EncoderSpec) -> str:
     """``<out>/features/<name>/<key>.emb``, keyed by the dataset block and the entry."""
-    entry = json.dumps([cfg.dataset, asdict(encoder)], sort_keys=True)
+    entry = json.dumps([dict(cfg.dataset), asdict(encoder)], sort_keys=True)
     key = hashlib.sha256(entry.encode()).hexdigest()[:16]
     return os.path.join(cfg.out_dir, "features", encoder.name, f"{key}.emb")
 
@@ -292,24 +298,25 @@ def feature_path(cfg: BenchConfig, encoder: EncoderSpec) -> str:
 def prepare(cfg: BenchConfig) -> list[str]:
     """Build every encoder's EMB1 file at its ``feature_path``, delete the encoder's
     other ``.emb`` files, and return the written paths. A matrix with no
-    columns is refused as a ``ConfigError`` before it is written."""
-    dataset = None
+    columns, or a file's matrix without one row per node, is refused as a
+    ``ConfigError`` before it is written."""
+    dataset = load_bench_dataset(cfg)
     written = []
     for encoder in cfg.encoders:
         if encoder.kind == "file":
             matrix = load_embedding_file(encoder.path)
+            if matrix.shape[0] != dataset.num_nodes:
+                raise ConfigError(f"encoder {encoder.name!r} file has {matrix.shape[0]} rows, "
+                                  f"dataset {dataset.name!r} has {dataset.num_nodes} nodes")
+        elif dataset.texts is None:
+            raise ConfigError(
+                f"encoder {encoder.name!r} needs raw texts, but dataset "
+                f"{dataset.name!r} has none"
+            )
+        elif encoder.kind == "tfidf":
+            matrix, _ = tfidf(dataset.texts, encoder.vocab_size)
         else:
-            if dataset is None:
-                dataset = load_bench_dataset(cfg)
-            if dataset.texts is None:
-                raise ConfigError(
-                    f"encoder {encoder.name!r} needs raw texts, but dataset "
-                    f"{dataset.name!r} has none"
-                )
-            if encoder.kind == "tfidf":
-                matrix, _ = tfidf(dataset.texts, encoder.vocab_size)
-            else:
-                matrix = remote_embed(encoder, dataset.texts)
+            matrix = remote_embed(encoder, dataset.texts)
         if matrix.shape[1] == 0:
             raise ConfigError(f"encoder {encoder.name!r} produced no feature columns")
         target = feature_path(cfg, encoder)

@@ -14,14 +14,7 @@ import numpy as np
 
 from .data import generate_synthetic
 from .models import ARCH_TABLE, ARCHITECTURES, build_context
-from .nn import (
-    Parameter,
-    cross_entropy,
-    dropout,
-    dropout_backward,
-    matmul,
-    relu,
-)
+from .nn import cross_entropy, dropout, dropout_backward, matmul, relu
 from .rng import SplitMix64
 
 TOLERANCE = 1e-4
@@ -44,39 +37,43 @@ def numeric_grad(loss_fn, x: np.ndarray, h: float = _H) -> np.ndarray:
 
 
 def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Largest difference over largest magnitude; shapes must match, not broadcast."""
+    if np.shape(analytic) != np.shape(numeric):
+        raise ValueError(f"gradient shape {np.shape(analytic)} != {np.shape(numeric)}")
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-8)
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
 
 
 def _worst_error(call, inputs, params, rng: SplitMix64) -> float:
     """Worst relative error of ``call``'s backward rule against central
-    differences, over every array in ``inputs`` and every Parameter in
+    differences, over every array in ``inputs`` and every array in the dict
     ``params``, for the loss sum(out * weights). ``call(*inputs)`` returns
     (out, backward) and ``backward(weights)`` returns the input gradients,
-    in order (one array alone when there is one input), and deposits the
-    parameter gradients. ``weights`` are the next normals of ``rng``."""
+    in order (one array alone when there is one input), paired, when
+    ``params`` is not empty, with the parameter gradients keyed like
+    ``params``. ``weights`` are the next normals of ``rng``."""
     out, backward = call(*inputs)
     weights = rng.normal(np.shape(out))
-    grads = backward(weights)
+    grads, param_grads = backward(weights) if params else (backward(weights), {})
     grads = grads if isinstance(grads, tuple) else (grads,)
 
     def loss():
         return float((call(*inputs)[0] * weights).sum())
 
     return max([rel_error(g, numeric_grad(loss, x)) for g, x in zip(grads, inputs, strict=True)]
-               + [rel_error(p.grad, numeric_grad(loss, p.value)) for p in params])
+               + [rel_error(param_grads[k], numeric_grad(loss, v)) for k, v in params.items()])
 
 
 def _check_matmul(seed: int) -> float:
     rng = SplitMix64(seed)
-    return _worst_error(matmul, [rng.normal((4, 3)), rng.normal((3, 2))], (), rng)
+    return _worst_error(matmul, [rng.normal((4, 3)), rng.normal((3, 2))], {}, rng)
 
 
 def _check_relu(seed: int) -> float:
     rng = SplitMix64(seed)
     # keep samples away from the kink at 0
     x = (rng.random((5, 4)) + 0.1) * np.sign(rng.normal((5, 4)))
-    return _worst_error(relu, [x], (), rng)
+    return _worst_error(relu, [x], {}, rng)
 
 
 def _check_dropout(seed: int) -> float:
@@ -86,7 +83,7 @@ def _check_dropout(seed: int) -> float:
         out, mask = dropout(x, 0.6, rng=SplitMix64(seed + 1))
         return out, lambda d_out: dropout_backward(mask, d_out)
 
-    return _worst_error(call, [rng.normal((6, 4))], (), rng)
+    return _worst_error(call, [rng.normal((6, 4))], {}, rng)
 
 
 def _check_cross_entropy(seed: int) -> float:
@@ -99,7 +96,7 @@ def _check_cross_entropy(seed: int) -> float:
         loss, d_logits = cross_entropy(x, labels, mask)
         return loss, lambda d_loss: d_loss * d_logits
 
-    return _worst_error(call, [logits], (), rng)
+    return _worst_error(call, [logits], {}, rng)
 
 
 def _check_layer(arch: str, seed: int, heads: int, d_in: int = 4, d_out: int = 6) -> float:
@@ -110,11 +107,8 @@ def _check_layer(arch: str, seed: int, heads: int, d_in: int = 4, d_out: int = 6
     graph = generate_synthetic(6, 2, p_in=0.9, p_out=0.4, dim=3, sep=1.0, seed=seed).graph
     context = build_context(graph)
     h = rng.normal((6, d_in))
-    params = {
-        short: Parameter(rng.normal(shape), short)
-        for short, shape in row.shapes(d_in, d_out).items()
-    }
-    return _worst_error(lambda x: row.call(x, context, params, heads), [h], params.values(), rng)
+    params = {short: rng.normal(shape) for short, shape in row.shapes(d_in, d_out).items()}
+    return _worst_error(lambda x: row.call(x, context, params, heads), [h], params, rng)
 
 
 CHECKS: dict[str, callable] = {

@@ -6,8 +6,10 @@ parameter shapes ``(d_in, d_out) -> {short: shape}``, the layer call
 layers are multi-head. Every run builds one ``PropagationContext``, which
 MLP ignores; it holds one self-looped CSR per graph: GCN
 multiplies by it, the graph transformer attends over its pattern.
-``init_parameters`` builds ``Model.layers`` from the table, naming each
-Parameter once; ``forward_backward`` and ``gradcheck`` read it too.
+``init_parameters`` builds ``Model.layers`` from the table; ``forward_backward``
+and ``gradcheck`` read it too. A parameter is a plain float64 ndarray, and
+each layer's backward returns its gradients as ``{short: array}``;
+``by_name`` alone names them ``layer{l}.{short}``.
 Calls name the layer functions as module globals, looked up when they
 run, so a wrapper installed on ``models.<layer>`` sees every call.
 
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .graph import normalize_adjacency, segment_max, segment_sum, spmm
-from .nn import Parameter, dropout, dropout_backward, matmul, relu
+from .nn import dropout, dropout_backward, matmul, relu
 from .rng import SplitMix64
 
 
@@ -60,24 +62,30 @@ class ModelSpec:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-@dataclass
+def by_name(per_layer) -> dict[str, np.ndarray]:
+    """``{"layer{l}.{short}": array}`` from each layer's ``{short: array}``, in layer order."""
+    return {f"layer{layer}.{short}": array
+            for layer, arrays in enumerate(per_layer) for short, array in arrays.items()}
+
+
+@dataclass(eq=False)
 class Model:
-    """``layers`` holds each layer's ``({short: Parameter}, heads)``;
-    ``parameters``, keyed by each Parameter's name, feeds Adam and snapshots."""
+    """``layers`` holds each layer's ``({short: array}, heads)``; ``parameters``
+    names the same arrays (``by_name``) and feeds Adam and snapshots."""
 
     spec: ModelSpec
-    layers: list[tuple[dict[str, Parameter], int]] = field(repr=False)
-    parameters: dict[str, Parameter] = field(init=False)
+    layers: list[tuple[dict[str, np.ndarray], int]] = field(repr=False)
+    parameters: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        self.parameters = {p.name: p for params, _ in self.layers for p in params.values()}
+        self.parameters = by_name(params for params, _ in self.layers)
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.value.copy() for name, p in self.parameters.items()}
+        return {name: value.copy() for name, value in self.parameters.items()}
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        for name, p in self.parameters.items():
-            p.value[...] = snapshot[name]
+        for name, value in self.parameters.items():
+            value[...] = snapshot[name]
 
 
 @dataclass(frozen=True)
@@ -136,30 +144,26 @@ def init_parameters(spec: ModelSpec, seed: int) -> Model:
     rng = SplitMix64(seed)
     layers = []
     for layer, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-        params = {}
-        for short, shape in arch.shapes(d_in, d_out).items():
-            value = np.zeros(shape) if short == "b" else glorot_uniform(rng, *shape)
-            params[short] = Parameter(value, f"layer{layer}.{short}")
+        params = {short: np.zeros(shape) if short == "b" else glorot_uniform(rng, *shape)
+                  for short, shape in arch.shapes(d_in, d_out).items()}
         layers.append((params, heads[layer]))
     return Model(spec, layers)
 
 
-def mlp_layer(h: np.ndarray, W: Parameter, b: Parameter):
-    """h @ W + b. Backward accumulates into W/b and returns dH (None when
-    called with ``input_grad=False``); the layer backwards below do the same."""
-    out, mm_back = matmul(h, W.value)
-    out += b.value
+def mlp_layer(h: np.ndarray, W: np.ndarray, b: np.ndarray):
+    """h @ W + b. Backward returns ``(dH, {"W": dW, "b": db})``, dH None when
+    called with ``input_grad=False``; the layer backwards below do the same."""
+    out, mm_back = matmul(h, W)
+    out += b
 
     def backward(d_out, input_grad: bool = True):
         d_h, d_W = mm_back(d_out, input_grad)
-        W.add_grad(d_W)
-        b.add_grad(d_out.sum(axis=0, keepdims=True))
-        return d_h
+        return d_h, {"W": d_W, "b": d_out.sum(axis=0, keepdims=True)}
 
     return out, backward
 
 
-def gcn_layer(h: np.ndarray, adj: csr_array, W: Parameter, b: Parameter):
+def gcn_layer(h: np.ndarray, adj: csr_array, W: np.ndarray, b: np.ndarray):
     """spmm(adj, h) @ W + b.
 
     Computed as spmm(adj, h @ W) + b: the aggregation is linear, so the
@@ -167,15 +171,13 @@ def gcn_layer(h: np.ndarray, adj: csr_array, W: Parameter, b: Parameter):
     cheaper when in_dim >> out_dim. Backward propagates gradients through
     the transpose view, spmm(adj.T, d_out).
     """
-    z, mm_back = matmul(h, W.value)
+    z, mm_back = matmul(h, W)
     out = spmm(adj, z)
-    out += b.value
+    out += b
 
     def backward(d_out, input_grad: bool = True):
         d_h, d_W = mm_back(spmm(adj.T, d_out), input_grad)
-        W.add_grad(d_W)
-        b.add_grad(d_out.sum(axis=0, keepdims=True))
-        return d_h
+        return d_h, {"W": d_W, "b": d_out.sum(axis=0, keepdims=True)}
 
     return out, backward
 
@@ -189,7 +191,7 @@ _BLOCK_BYTES = 256 * 1024
 
 
 def graph_transformer_layer(
-    h: np.ndarray, context: PropagationContext, params: dict[str, Parameter], heads: int
+    h: np.ndarray, context: PropagationContext, params: dict[str, np.ndarray], heads: int
 ):
     """Multi-head dot-product attention over each node's neighbors + self.
 
@@ -229,7 +231,7 @@ def graph_transformer_layer(
 
     def project(short):
         """(n, heads, d_head): h times the projection ``short`` (W_Q, W_K or W_V)."""
-        return (h @ params[short].value).reshape(n, heads, d_head)
+        return (h @ params[short]).reshape(n, heads, d_head)
 
     q, k, v = project("W_Q"), project("W_K"), project("W_V")
 
@@ -257,9 +259,9 @@ def graph_transformer_layer(
     exps = np.exp(shifted)
     alpha = exps / per_entry(segment_sum(exps, offsets))
 
-    out = h @ params["W_S"].value  # addition commutes: the bits of (agg + hW) + b
+    out = h @ params["W_S"]  # addition commutes: the bits of (agg + hW) + b
     out += aggregate(context.head_csr(alpha), v)
-    out += params["b"].value
+    out += params["b"]
 
     # what backward reads; it pops each entry, so the entry goes at its last use
     saved = {"alpha": alpha}
@@ -271,14 +273,13 @@ def graph_transformer_layer(
         return saved.pop(short) if short in saved else project(short)
 
     def backward(d_out, input_grad: bool = True):
-        params["b"].add_grad(d_out.sum(axis=0, keepdims=True))
-        params["W_S"].add_grad(h.T @ d_out)
-        d_h = d_out @ params["W_S"].value.T if input_grad else None
+        grads = {"b": d_out.sum(axis=0, keepdims=True), "W_S": h.T @ d_out}
+        d_h = d_out @ params["W_S"].T if input_grad else None
 
         alpha = saved.pop("alpha")
         d_msg = d_out.reshape(n, heads, d_head)
         d_v = aggregate(context.head_csr(alpha).T, d_msg)  # rebuilt: a kept one sat on every tape
-        params["W_V"].add_grad(h.T @ d_v)
+        grads["W_V"] = h.T @ d_v
 
         # softmax backward per neighborhood segment
         d_alpha = entry_dots(d_msg, take("W_V"))
@@ -290,14 +291,14 @@ def graph_transformer_layer(
         # at a time, and d_q reads k, d_k reads q
         for short, m, source in (("W_Q", d_scores, "W_K"), ("W_K", d_scores.T, "W_Q")):
             d_proj = aggregate(m, take(source))
-            params[short].add_grad(h.T @ d_proj)
+            grads[short] = h.T @ d_proj
             if input_grad:
-                d_h += d_proj @ params[short].value.T
+                d_h += d_proj @ params[short].T
             del d_proj
         del d_scores, m  # m is the last transposed view of d_scores
         if input_grad:
-            d_h += d_v @ params["W_V"].value.T
-        return d_h
+            d_h += d_v @ params["W_V"].T
+        return d_h, grads
 
     return out, backward
 
@@ -346,9 +347,9 @@ def forward_backward(
     Hidden layers apply {layer -> ReLU -> dropout}; the final layer emits
     raw logits. ``dataset.features`` may be an ndarray or a
     ``scipy.sparse.csr_array``; only layer 0 reads it. ``backward(d_logits)``
-    accumulates parameter gradients and returns None: the features are not
-    trained, so layer 0 runs with ``input_grad=False`` and skips the
-    gradient at its input.
+    returns every parameter's gradient, keyed like ``model.parameters``: the
+    features are not trained, so layer 0 runs with ``input_grad=False`` and
+    skips the gradient at its input.
 
     Only a training forward keeps a tape: each layer's closure (with what it
     saved), ReLU gate and dropout mask; evaluation drops them before the
@@ -396,9 +397,15 @@ def forward_backward(
             raise RuntimeError("backward runs once: it frees its tape as it walks it")
         walk = tape.copy()
         tape.clear()
+        per_layer = []
         d = d_logits
-        while len(walk) > 1:
-            d = walk.pop()(d)
-        walk.pop()(d, input_grad=False)  # layer 0
+        while walk:
+            back = walk.pop()
+            if len(walk) % 3:  # ReLU's or dropout's rule: layer l's closure sat at 3 * l
+                d = back(d)
+            else:  # a layer's; layer 0, walked last, skips its input gradient
+                d, grads = back(d, input_grad=bool(walk))
+                per_layer.append(grads)
+        return by_name(reversed(per_layer))
 
     return h, (backward if training else None)

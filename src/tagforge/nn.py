@@ -4,6 +4,7 @@ Each operation returns ``(output, backward)`` where ``backward`` maps the
 loss gradient at the output to gradients at the inputs, in argument order.
 There is no general tape here: models assemble these closures themselves
 and walk them in reverse. All math is float64 unless callers pass float32.
+Parameters are plain ndarrays, and a gradient is only ever a return value.
 
 ``dropout`` alone has no closure: it returns ``(output, mask)``, ``mask`` a
 ``(keep, scale)`` pair or None, and ``dropout_backward(mask, d_out)`` is its
@@ -11,36 +12,6 @@ rule, so perfbench's tracer times both passes by wrapping the two names.
 """
 
 import numpy as np
-
-
-class Parameter:
-    """Trainable matrix plus gradient accumulator.
-
-    ``grad`` is None until a backward pass deposits into it; the optimizer
-    consumes it and resets it to None, so a step without a preceding
-    backward pass is detectable.
-    """
-
-    def __init__(self, value: np.ndarray, name: str = ""):
-        self.value = np.ascontiguousarray(value, dtype=np.float64)
-        if self.value.ndim != 2:
-            raise ValueError(f"parameters are 2-D, got shape {self.value.shape}")
-        self.name = name
-        self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def add_grad(self, g: np.ndarray) -> None:
-        if g.shape != self.value.shape:
-            raise ValueError(f"gradient shape {g.shape} != value shape {self.value.shape}")
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
 def matmul(a, b: np.ndarray):

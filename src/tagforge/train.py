@@ -33,7 +33,7 @@ import numpy as np
 from .data import Dataset, SplitMask
 from . import models
 from .models import Model, PropagationContext, build_context, forward_backward
-from .nn import Parameter, cross_entropy
+from .nn import cross_entropy
 from .rng import SplitMix64
 
 ADAM_BETA1 = 0.9
@@ -67,37 +67,40 @@ class TrainSpec:
 class AdamState:
     """First/second moment accumulators plus the shared step counter."""
 
-    def __init__(self, parameters: dict[str, Parameter]):
-        self.m = {name: np.zeros_like(p.value) for name, p in parameters.items()}
-        self.v = {name: np.zeros_like(p.value) for name, p in parameters.items()}
+    def __init__(self, parameters: dict[str, np.ndarray]):
+        self.m = {name: np.zeros_like(value) for name, value in parameters.items()}
+        self.v = {name: np.zeros_like(value) for name, value in parameters.items()}
         self.t = 0
 
 
-def adam_step(parameters: dict[str, Parameter], state: AdamState, spec: TrainSpec) -> None:
-    """One coupled-L2 Adam update; consumes and clears every gradient.
+def adam_step(parameters: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+              state: AdamState, spec: TrainSpec) -> None:
+    """One coupled-L2 Adam update of each parameter, in place, by its entry in
+    ``grads``: what ``forward_backward``'s backward returned.
 
-    A missing or non-finite gradient raises before any parameter moves;
-    ``train`` takes one step per epoch, so the step named is the epoch.
+    A missing, misshapen or non-finite gradient raises, naming the parameter,
+    before any parameter moves; ``train`` takes one step per epoch, so the
+    step named is the epoch.
     """
-    missing = [name for name, p in parameters.items() if p.grad is None]
-    if missing:
-        raise ValueError(f"adam_step before backward: no gradient for {missing[0]}")
-    bad = [name for name, p in parameters.items() if not np.isfinite(p.grad).all()]
-    if bad:
-        raise FloatingPointError(f"non-finite gradient for {bad[0]} at epoch {state.t + 1}")
+    for name, value in parameters.items():
+        if name not in grads:
+            raise ValueError(f"adam_step before backward: no gradient for {name}")
+        if grads[name].shape != value.shape:
+            raise ValueError(f"gradient shape {grads[name].shape} != {value.shape} for {name}")
+        if not np.isfinite(grads[name]).all():
+            raise FloatingPointError(f"non-finite gradient for {name} at epoch {state.t + 1}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for name, p in parameters.items():
-        g = p.grad + spec.weight_decay * p.value
+    for name, value in parameters.items():
+        g = grads[name] + spec.weight_decay * value
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * np.square(g)
-        p.value -= spec.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p.grad = None
+        value -= spec.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def evaluate(
@@ -182,8 +185,7 @@ def train(
         loss, d_logits = cross_entropy(logits, dataset.labels, split.train)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss {loss} at epoch {epoch}")
-        backward(d_logits)  # frees the tape as it goes
-        adam_step(model.parameters, state, spec)
+        adam_step(model.parameters, backward(d_logits), state, spec)  # backward frees the tape
         val_acc, test_acc = evaluate(model, dataset, split, context, layer0)
         losses.append(loss)
         vals.append(val_acc)

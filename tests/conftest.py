@@ -54,15 +54,15 @@ def dense_gt_attention(h, graph, params, heads):
         mask[i, i] = True
         for j in graph.indices[graph.indptr[i] : graph.indptr[i + 1]]:
             mask[i, j] = True
-    width = params["W_Q"].value.shape[1]
+    width = params["W_Q"].shape[1]
     d_head = width // heads
     out = np.zeros((n, width))
     alphas = []
     for head in range(heads):
         sl = slice(head * d_head, (head + 1) * d_head)
-        q = h @ params["W_Q"].value[:, sl]
-        k = h @ params["W_K"].value[:, sl]
-        v = h @ params["W_V"].value[:, sl]
+        q = h @ params["W_Q"][:, sl]
+        k = h @ params["W_K"][:, sl]
+        v = h @ params["W_V"][:, sl]
         scores = q @ k.T / math.sqrt(d_head)
         scores = np.where(mask, scores, -np.inf)
         scores -= scores.max(axis=1, keepdims=True)
@@ -70,7 +70,7 @@ def dense_gt_attention(h, graph, params, heads):
         alpha = e / e.sum(axis=1, keepdims=True)
         out[:, sl] = alpha @ v
         alphas.append(alpha)
-    out = out + h @ params["W_S"].value + params["b"].value
+    out = out + h @ params["W_S"] + params["b"]
     return out, alphas
 
 
@@ -140,7 +140,7 @@ def reference_gt_layer(h, context, params, heads):
     from fancy-indexing by each entry's row, and every transposed product
     reorders its weights by ``transpose_order`` (so the pattern must be
     symmetric). Returns (out, backward) like the layer, with
-    ``backward(d_out)`` returning d_h.
+    ``backward(d_out)`` returning ``(d_h, {short: gradient})``.
     """
     n, width = context.adj.shape[0], params["W_Q"].shape[1]
     d_head = width // heads
@@ -148,9 +148,9 @@ def reference_gt_layer(h, context, params, heads):
     cols, offsets, tperm = context.adj.indices, context.adj.indptr, transpose_order(context.adj)
     rows = np.repeat(np.arange(n), np.diff(offsets))
 
-    q = (h @ params["W_Q"].value).reshape(n, heads, d_head)
-    k = (h @ params["W_K"].value).reshape(n, heads, d_head)
-    v = (h @ params["W_V"].value).reshape(n, heads, d_head)
+    q = (h @ params["W_Q"]).reshape(n, heads, d_head)
+    k = (h @ params["W_K"]).reshape(n, heads, d_head)
+    v = (h @ params["W_V"]).reshape(n, heads, d_head)
 
     def aggregate(weights, x):
         return np.concatenate(
@@ -164,12 +164,11 @@ def reference_gt_layer(h, context, params, heads):
     scores = np.einsum("ehd,ehd->eh", q[rows], k[cols]) * inv_sqrt
     exps = np.exp(scores - segment_max(scores, offsets)[rows])
     alpha = exps / segment_sum(exps, offsets)[rows]
-    out = aggregate(alpha, v) + h @ params["W_S"].value + params["b"].value
+    out = aggregate(alpha, v) + h @ params["W_S"] + params["b"]
 
     def backward(d_out):
-        params["b"].add_grad(d_out.sum(axis=0, keepdims=True))
-        params["W_S"].add_grad(h.T @ d_out)
-        d_h = d_out @ params["W_S"].value.T
+        grads = {"b": d_out.sum(axis=0, keepdims=True), "W_S": h.T @ d_out}
+        d_h = d_out @ params["W_S"].T
         d_msg = d_out.reshape(n, heads, d_head)
         d_alpha = np.einsum("ehd,ehd->eh", v[cols], d_msg[rows])
         d_v = aggregate(alpha[tperm], d_msg)
@@ -178,9 +177,9 @@ def reference_gt_layer(h, context, params, heads):
         d_q = aggregate(d_scores, k)
         d_k = aggregate(d_scores[tperm], q)
         for short, d_proj in (("W_Q", d_q), ("W_K", d_k), ("W_V", d_v)):
-            params[short].add_grad(h.T @ d_proj)
-            d_h = d_h + d_proj @ params[short].value.T
-        return d_h
+            grads[short] = h.T @ d_proj
+            d_h = d_h + d_proj @ params[short].T
+        return d_h, grads
 
     return out, backward
 

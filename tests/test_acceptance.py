@@ -28,7 +28,7 @@ from tagforge.models import (
     graph_transformer_layer,
     init_parameters,
 )
-from tagforge.nn import Parameter, infonce
+from tagforge.nn import infonce
 from tagforge.rng import SplitMix64
 from tagforge.train import TrainSpec, aggregate, train
 
@@ -63,17 +63,14 @@ def test_criterion_2_dense_oracle_equivalence():
         rng = SplitMix64(seed + 1000)
         h = rng.normal((n, 6))
 
-        W = Parameter(rng.normal((6, 4)), "W")
-        b = Parameter(rng.normal((1, 4)), "b")
+        W = rng.normal((6, 4))
+        b = rng.normal((1, 4))
         gcn_out, _ = gcn_layer(h, normalize_adjacency(g), W, b)
-        gcn_dense = dense_normalized_adjacency(g) @ h @ W.value + b.value
+        gcn_dense = dense_normalized_adjacency(g) @ h @ W + b
         worst = max(worst, float(np.abs(gcn_out - gcn_dense).max()))
 
-        params = {
-            name: Parameter(rng.normal((6, 8)), name)
-            for name in ("W_Q", "W_K", "W_V", "W_S")
-        }
-        params["b"] = Parameter(rng.normal((1, 8)), "b")
+        params = {name: rng.normal((6, 8)) for name in ("W_Q", "W_K", "W_V", "W_S")}
+        params["b"] = rng.normal((1, 8))
         gt_out, _ = graph_transformer_layer(h, build_context(g), params, heads=2)
         gt_dense, _ = dense_gt_attention(h, g, params, heads=2)
         worst = max(worst, float(np.abs(gt_out - gt_dense).max()))

@@ -79,9 +79,39 @@ def _remote_encoder(**fields):
 def test_config_roundtrip(tmp_path):
     cfg = load_config(_write_config(tmp_path))
     assert [e.name for e in cfg.encoders] == ["tfidf8", "native"]
-    assert cfg.archs == ["gcn", "mlp"]
+    assert cfg.archs == ("gcn", "mlp")
     assert cfg.seeds == (0, 1)
     assert cfg.out_dir == str(tmp_path / "out")
+
+
+def test_a_loaded_config_is_frozen_all_the_way_down(tmp_path):
+    cfg = load_config(_write_config(tmp_path))
+    for block in ("dataset", "split", "model"):
+        with pytest.raises(TypeError):
+            getattr(cfg, block)["seed"] = 42
+        with pytest.raises(TypeError):
+            del getattr(cfg, block)[next(iter(getattr(cfg, block)))]
+    for name in ("archs", "encoders"):
+        with pytest.raises(TypeError):
+            getattr(cfg, name)[0] = getattr(cfg, name)[1]
+        with pytest.raises(AttributeError):
+            getattr(cfg, name).append(getattr(cfg, name)[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.archs = ["gcn"]
+
+
+def test_feature_path_names_a_frozen_config_as_before(tmp_path):
+    # the toy bench's dataset block and TF-IDF entry: the key is a digest of
+    # both, so a prepared file keeps its name across versions of the config type
+    config = _write_config(
+        tmp_path,
+        dataset={"kind": "synthetic", "n": 200, "classes": 3, "p_in": 0.15, "p_out": 0.01,
+                 "dim": 16, "sep": 2.0, "seed": 7},
+        encoders=[{"name": "tfidf", "kind": "tfidf", "vocab_size": 32}],
+    )
+    cfg = load_config(config)
+    assert feature_path(cfg, cfg.encoders[0]) == str(
+        tmp_path / "out" / "features" / "tfidf" / "2974f869419b103b.emb")
 
 
 def test_config_missing_file():
@@ -425,6 +455,15 @@ def test_cli_prepare_refuses_an_encoder_with_no_feature_columns(tmp_path, capsys
     assert "config error: encoder 'tf' produced no feature columns" in capsys.readouterr().err
     cfg = load_config(config)
     assert not os.path.exists(feature_path(cfg, cfg.encoders[0]))
+
+
+def test_cli_prepare_refuses_a_file_encoder_without_one_row_per_node(tmp_path, capsys):
+    save_embedding_file(str(tmp_path / "short.emb"), np.ones((39, 6)))
+    config = _write_config(tmp_path, encoders=[{"name": "f", "kind": "file", "path": "short.emb"}])
+    assert main(["prepare", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "encoder 'f' file has 39 rows, dataset 'synthetic-n40-c2' has 40 nodes" in err
+    assert not (tmp_path / "out" / "features").exists()
 
 
 def test_prepare_checks_a_file_encoder_and_copies_it_byte_identically(tmp_path, capsys):
@@ -913,15 +952,20 @@ def test_cli_full_matrix_on_planetoid_dataset(tmp_path, capsys):
     assert all(r["status"] == "ok" for r in rows)
 
 
+def _perfbench_tracing(monkeypatch):
+    """perfbench's ``tracing`` module, imported without keeping it in sys.modules."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        return importlib.import_module("tracing")
+    finally:
+        sys.modules.pop("tracing", None)
+
+
 def test_perfbench_tracer_wraps_only_names_that_exist(monkeypatch):
     """``perfbench/run.py --trace 1`` wraps tagforge names in place, a
     superset of those its untraced ``Probe`` wraps; a name deleted or renamed
     here would break the traced benchmark, so it fails this test instead."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        tracing = importlib.import_module("tracing")
-    finally:
-        sys.modules.pop("tracing", None)
+    tracing = _perfbench_tracing(monkeypatch)
     patched = []
 
     class Recording(tracing.Patches):
@@ -938,3 +982,41 @@ def test_perfbench_tracer_wraps_only_names_that_exist(monkeypatch):
                    ("tagforge.train", "forward_backward")}
     assert probe_names <= {(owner.__name__, attr) for owner, attr, _ in patched}
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_perfbench_traced_cells_equal_untraced_ones(tmp_path, monkeypatch):
+    """``perfbench/run.py --trace 1`` also calls what the tracer wraps: every
+    layer's backward closure, the model's backward and the Adam step, whose
+    return values pass through the wrappers. A traced toy cell per arch must
+    train exactly as an untraced one and record those spans."""
+    tracing = _perfbench_tracing(monkeypatch)
+    cfg = load_config(_write_config(
+        tmp_path, archs=["gcn", "graph_transformer", "mlp"],
+        train={"epochs": 2, "patience": 2, "seeds": [0]}))
+    dataset = load_bench_dataset(cfg)
+    runs, train, run_cell = [], bench.train, bench.run_cell
+
+    def recorded(*args, **kwargs):
+        runs.append(train(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(bench, "train", recorded)
+
+    def cells():
+        return [bench.run_cell(cfg, dataset, dataset.features, "native", arch)
+                for arch in cfg.archs]
+
+    untraced = cells()
+    untraced_runs, runs[:] = runs[:], []
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    tracer.install(patches)
+    try:
+        traced = cells()
+    finally:
+        patches.restore()
+    assert bench.train is recorded and bench.run_cell is run_cell
+    assert traced == untraced
+    assert runs == untraced_runs and [r.epochs_ran for r in runs] == [2, 2, 2]
+    names = {span[0] for span in tracer.spans}
+    assert {f"models.{arch}_layer.bwd" for arch in cfg.archs} <= names
+    assert {"models.backward", "train.adam_step"} <= names

@@ -32,18 +32,18 @@ from tagforge.models import (
     init_parameters,
     mlp_layer,
 )
-from tagforge.nn import Parameter, cross_entropy
+from tagforge.nn import cross_entropy
 from tagforge.rng import SplitMix64
 from tagforge.train import TrainSpec, adam_step, AdamState, train
 
 
-def _gt_params(rng, d_in, width, tag=""):
+def _gt_params(rng, d_in, width):
     return {
-        "W_Q": Parameter(rng.normal((d_in, width)), f"{tag}W_Q"),
-        "W_K": Parameter(rng.normal((d_in, width)), f"{tag}W_K"),
-        "W_V": Parameter(rng.normal((d_in, width)), f"{tag}W_V"),
-        "W_S": Parameter(rng.normal((d_in, width)), f"{tag}W_S"),
-        "b": Parameter(rng.normal((1, width)), f"{tag}b"),
+        "W_Q": rng.normal((d_in, width)),
+        "W_K": rng.normal((d_in, width)),
+        "W_V": rng.normal((d_in, width)),
+        "W_S": rng.normal((d_in, width)),
+        "b": rng.normal((1, width)),
     }
 
 
@@ -91,9 +91,9 @@ def test_init_deterministic_and_biases_zero():
     b = init_parameters(spec, seed=3)
     c = init_parameters(spec, seed=4)
     for name in a.parameters:
-        assert np.array_equal(a.parameters[name].value, b.parameters[name].value)
-    assert not np.array_equal(a.parameters["layer0.W"].value, c.parameters["layer0.W"].value)
-    assert np.array_equal(a.parameters["layer0.b"].value, np.zeros((1, 4)))
+        assert np.array_equal(a.parameters[name], b.parameters[name])
+    assert not np.array_equal(a.parameters["layer0.W"], c.parameters["layer0.W"])
+    assert np.array_equal(a.parameters["layer0.b"], np.zeros((1, 4)))
 
 
 def test_glorot_standard_deviation():
@@ -110,11 +110,11 @@ def test_glorot_standard_deviation():
 
 def test_mlp_layer_identity_and_bias():
     h = np.arange(6.0).reshape(3, 2)
-    W = Parameter(np.eye(2), "W")
-    b = Parameter(np.zeros((1, 2)), "b")
+    W = np.eye(2)
+    b = np.zeros((1, 2))
     out, _ = mlp_layer(h, W, b)
     assert np.array_equal(out, h)
-    bias = Parameter(np.array([[1.0, -2.0]]), "b")
+    bias = np.array([[1.0, -2.0]])
     out, _ = mlp_layer(np.zeros((3, 2)), W, bias)
     assert np.array_equal(out, np.tile([1.0, -2.0], (3, 1)))
 
@@ -122,10 +122,10 @@ def test_mlp_layer_identity_and_bias():
 def test_gcn_layer_edgeless_reduces_to_linear():
     adj = normalize_adjacency(from_edge_list(3, []))
     h = SplitMix64(0).normal((3, 4))
-    W = Parameter(SplitMix64(1).normal((4, 2)), "W")
-    b = Parameter(SplitMix64(2).normal((1, 2)), "b")
+    W = SplitMix64(1).normal((4, 2))
+    b = SplitMix64(2).normal((1, 2))
     out, _ = gcn_layer(h, adj, W, b)
-    assert np.abs(out - (h @ W.value + b.value)).max() < 1e-15
+    assert np.abs(out - (h @ W + b)).max() < 1e-15
 
 
 def test_gcn_layer_path_hand_case():
@@ -133,8 +133,8 @@ def test_gcn_layer_path_hand_case():
     out, _ = gcn_layer(
         np.array([[2.0], [4.0]]),
         adj,
-        Parameter(np.eye(1), "W"),
-        Parameter(np.zeros((1, 1)), "b"),
+        np.eye(1),
+        np.zeros((1, 1)),
     )
     assert np.allclose(out, [[3.0], [3.0]])
 
@@ -145,7 +145,7 @@ def test_gt_layer_isolated_node_is_value_plus_skip():
     params = _gt_params(rng, 4, 6)
     h = rng.normal((3, 4))
     out, _ = graph_transformer_layer(h, build_context(g), params, heads=2)
-    expected = h[2] @ params["W_V"].value + h[2] @ params["W_S"].value + params["b"].value
+    expected = h[2] @ params["W_V"] + h[2] @ params["W_S"] + params["b"]
     assert np.abs(out[2] - expected).max() < 1e-12
 
 
@@ -157,7 +157,7 @@ def test_gt_layer_identical_features_give_uniform_attention():
     h = np.tile(row, (4, 1))
     out, _ = graph_transformer_layer(h, build_context(g), params, heads=2)
     # uniform attention over identical rows averages to the same row transform
-    expected = row @ params["W_V"].value + row @ params["W_S"].value + params["b"].value
+    expected = row @ params["W_V"] + row @ params["W_S"] + params["b"]
     assert np.abs(out - np.tile(expected, (4, 1))).max() < 1e-12
 
 
@@ -184,10 +184,10 @@ def test_gcn_layer_matches_dense_oracle(seed):
     adj = normalize_adjacency(g)
     rng = SplitMix64(seed + 50)
     h = rng.normal((n, 4))
-    W = Parameter(rng.normal((4, 3)), "W")
-    b = Parameter(rng.normal((1, 3)), "b")
+    W = rng.normal((4, 3))
+    b = rng.normal((1, 3))
     out, _ = gcn_layer(h, adj, W, b)
-    dense = dense_normalized_adjacency(g) @ h @ W.value + b.value
+    dense = dense_normalized_adjacency(g) @ h @ W + b
     assert np.abs(out - dense).max() < 1e-10
 
 
@@ -195,17 +195,17 @@ def test_gcn_backward_follows_an_asymmetric_adjacency():
     rng = SplitMix64(5)
     adj = csr_array(np.triu(rng.normal((5, 5))))  # weight(i, j) != weight(j, i)
     h = rng.normal((5, 3))
-    W = Parameter(rng.normal((3, 2)), "W")
-    b = Parameter(rng.normal((1, 2)), "b")
+    params = {"W": rng.normal((3, 2)), "b": rng.normal((1, 2))}
     weights = rng.normal((5, 2))
 
     def loss():
-        return float((gcn_layer(h, adj, W, b)[0] * weights).sum())
+        return float((gcn_layer(h, adj, params["W"], params["b"])[0] * weights).sum())
 
-    _, backward = gcn_layer(h, adj, W, b)
-    assert rel_error(backward(weights), numeric_grad(loss, h)) < 1e-8
-    for p in (W, b):
-        assert rel_error(p.grad, numeric_grad(loss, p.value)) < 1e-8, p.name
+    _, backward = gcn_layer(h, adj, params["W"], params["b"])
+    d_h, grads = backward(weights)
+    assert rel_error(d_h, numeric_grad(loss, h)) < 1e-8
+    for short, value in params.items():
+        assert rel_error(grads[short], numeric_grad(loss, value)) < 1e-8, short
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +298,8 @@ def test_single_step_decreases_training_loss(arch):
 
     logits, backward = forward_backward(model, ds, context, SplitMix64(0))
     loss_before, d_logits = cross_entropy(logits, ds.labels, mask)
-    backward(d_logits)
-    adam_step(model.parameters, state, TrainSpec())
+    grads = backward(d_logits)
+    adam_step(model.parameters, grads, state, TrainSpec())
     loss_after, _ = cross_entropy(forward_backward(model, ds, context=context)[0], ds.labels, mask)
     assert loss_after < loss_before
 
@@ -324,8 +324,7 @@ def test_csr_features_match_dense_features(arch):
         model = init_parameters(spec, seed=1)
         data = Dataset(ds.graph, x, ds.labels, 3)
         logits, backward = forward_backward(model, data, context, SplitMix64(2))
-        backward(d_logits)
-        runs.append((logits, {name: p.grad for name, p in model.parameters.items()}))
+        runs.append((logits, backward(d_logits)))
     (dense_logits, dense_grads), (csr_logits, csr_grads) = runs
     np.testing.assert_allclose(csr_logits, dense_logits, rtol=0, atol=1e-12)
     for name, grad in dense_grads.items():
@@ -343,6 +342,21 @@ def test_csr_features_match_dense_features(arch):
     np.testing.assert_allclose(csr_run.loss_curve, dense_run.loss_curve, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_backward_returns_one_gradient_per_parameter_with_its_shape(arch, sparse):
+    ds = _random_dataset()
+    features = csr_array(np.maximum(ds.features, 0.0)) if sparse else ds.features
+    model = init_parameters(ModelSpec(arch, in_dim=6, num_classes=2, layers=3, hidden=4,
+                                      heads=2), seed=1)
+    data = Dataset(ds.graph, features, ds.labels, 2)
+    logits, backward = forward_backward(model, data, build_context(ds.graph), SplitMix64(2))
+    grads = backward(np.ones_like(logits))
+    assert grads.keys() == model.parameters.keys()
+    for name, value in model.parameters.items():
+        assert grads[name].shape == value.shape, name
+
+
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_backward_skips_only_the_layer0_input_gradient(arch, monkeypatch):
     ds = _random_dataset()
@@ -351,7 +365,7 @@ def test_backward_skips_only_the_layer0_input_gradient(arch, monkeypatch):
     d_logits = np.random.default_rng(0).normal(size=(ds.num_nodes, 2))
 
     def walk(force_input_grad):
-        """Parameter gradients, and the input_grad each layer backward got."""
+        """The parameter gradients, and the input_grad each layer backward got."""
         seen = []
 
         def spy(layer):
@@ -371,8 +385,9 @@ def test_backward_skips_only_the_layer0_input_gradient(arch, monkeypatch):
                 m.setattr(models, name, spy(getattr(models, name)))
             model = init_parameters(spec, seed=1)
             logits, backward = forward_backward(model, ds, context, SplitMix64(2))
-            assert backward(d_logits) is None
-        return {name: p.grad for name, p in model.parameters.items()}, seen
+            grads = backward(d_logits)
+            assert grads.keys() == model.parameters.keys()
+        return grads, seen
 
     skipped, seen = walk(force_input_grad=False)
     assert seen == [True, True, False]  # walked from the last layer to layer 0
@@ -399,7 +414,7 @@ def test_whole_model_gradients_match_finite_differences(arch, sparse):
     rng = SplitMix64(6)
     for name, p in model.parameters.items():
         if name.endswith(".b"):  # non-zero biases keep zero-feature rows off ReLU's kink
-            p.value[...] = rng.normal(p.value.shape)
+            p[...] = rng.normal(p.shape)
     context = build_context(ds.graph)
     weights = rng.normal((8, 2))
 
@@ -407,9 +422,9 @@ def test_whole_model_gradients_match_finite_differences(arch, sparse):
         return float((forward_backward(model, data, context, SplitMix64(3))[0] * weights).sum())
 
     logits, backward = forward_backward(model, data, context, SplitMix64(3))
-    backward(weights)  # d loss / d logits
+    grads = backward(weights)  # d loss / d logits
     for name, p in model.parameters.items():
-        assert rel_error(p.grad, numeric_grad(loss, p.value)) <= TOLERANCE, name
+        assert rel_error(grads[name], numeric_grad(loss, p)) <= TOLERANCE, name
 
 
 def test_tperm_reordered_weights_give_transposed_product():
@@ -466,16 +481,15 @@ def _assert_gt_layer_matches_reference(graph, heads, d_head, d_in, seed, sparse=
     if sparse:
         h = csr_array(h * (rng.random(size=h.shape) < 0.4))
     d_out = rng.normal(size=(n, width))
-    ours = {short: Parameter(v.copy(), short) for short, v in values.items()}
-    reference = {short: Parameter(v.copy(), short) for short, v in values.items()}
     context = build_context(graph)
 
-    out, backward = graph_transformer_layer(h, context, ours, heads)
-    ref_out, ref_backward = reference_gt_layer(h, context, reference, heads)
+    out, backward = graph_transformer_layer(h, context, values, heads)
+    ref_out, ref_backward = reference_gt_layer(h, context, values, heads)
     assert np.array_equal(out, ref_out)
-    assert np.array_equal(backward(d_out), ref_backward(d_out))
-    for short, p in ours.items():
-        assert np.array_equal(p.grad, reference[short].grad), short
+    (d_h, grads), (ref_d_h, ref_grads) = backward(d_out), ref_backward(d_out)
+    assert np.array_equal(d_h, ref_d_h)
+    for short in values:
+        assert np.array_equal(grads[short], ref_grads[short]), short
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -542,7 +556,7 @@ def test_layer_adds_its_bias_in_place(arch, bound):
     context = build_context(generate_synthetic(800, 7, 0.02, 0.001, dim=8, seed=0).graph)
     rng = SplitMix64(3)
     h = rng.normal((800, 64))
-    W, b = Parameter(rng.normal((64, 64)), "W"), Parameter(rng.normal((1, 64)), "b")
+    W, b = rng.normal((64, 64)), rng.normal((1, 64))
     layer = {"mlp": lambda: mlp_layer(h, W, b), "gcn": lambda: gcn_layer(h, context.adj, W, b)}
     tracemalloc.start()
     try:
@@ -607,9 +621,10 @@ def test_gt_layer_reads_the_adjacency_pattern_of_its_context():
     def loss():
         return float((graph_transformer_layer(h, context, params, heads=2)[0] * weights).sum())
 
-    assert rel_error(backward(weights), numeric_grad(loss, h)) < 1e-8
+    d_h, grads = backward(weights)
+    assert rel_error(d_h, numeric_grad(loss, h)) < 1e-8
     for short, p in params.items():
-        assert rel_error(p.grad, numeric_grad(loss, p.value)) < 1e-8, short
+        assert rel_error(grads[short], numeric_grad(loss, p)) < 1e-8, short
 
 
 def test_gt_backward_handles_isolated_nodes():
@@ -624,10 +639,10 @@ def test_gt_backward_handles_isolated_nodes():
         return float((graph_transformer_layer(h, context, params, heads=2)[0] * weights).sum())
 
     _, backward = graph_transformer_layer(h, context, params, heads=2)
-    d_h = backward(weights)
+    d_h, grads = backward(weights)
     assert rel_error(d_h, numeric_grad(loss, h)) < 1e-5
-    for p in params.values():
-        assert rel_error(p.grad, numeric_grad(loss, p.value)) < 1e-5
+    for short, p in params.items():
+        assert rel_error(grads[short], numeric_grad(loss, p)) < 1e-5
 
 
 def test_dropout_mask_regenerated_each_training_step():

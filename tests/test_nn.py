@@ -9,7 +9,6 @@ import pytest
 
 from tagforge.gradcheck import numeric_grad, rel_error
 from tagforge.nn import (
-    Parameter,
     cross_entropy,
     dropout,
     dropout_backward,
@@ -221,11 +220,8 @@ def test_infonce_rejects_unknown_similarity():
         infonce(x, x, x, tau=1.0, sim="euclidean")
 
 
-def test_parameter_grad_accumulation():
-    p = Parameter(np.zeros((2, 2)), "w")
-    assert p.grad is None
-    p.add_grad(np.ones((2, 2)))
-    p.add_grad(np.ones((2, 2)))
-    assert np.array_equal(p.grad, 2 * np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        p.add_grad(np.ones((3, 2)))
+def test_rel_error_refuses_arrays_of_different_shapes():
+    # a (1, 3) gradient against a (3, 1) numeric one would broadcast to (3, 3)
+    assert rel_error(np.ones((1, 3)), np.ones((1, 3))) == 0.0
+    with pytest.raises(ValueError, match=r"gradient shape \(1, 3\) != \(3, 1\)"):
+        rel_error(np.ones((1, 3)), np.ones((3, 1)))

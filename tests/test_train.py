@@ -26,7 +26,7 @@ from tagforge.models import (
     forward_backward,
     init_parameters,
 )
-from tagforge.nn import Parameter, cross_entropy
+from tagforge.nn import cross_entropy
 from tagforge.rng import SplitMix64
 from tagforge.train import (
     AdamState,
@@ -40,54 +40,65 @@ from tagforge.train import (
 
 
 def _single_param(value):
-    p = Parameter(np.array([[float(value)]]), "theta")
+    p = np.array([[float(value)]])
     return {"theta": p}, p
 
 
 def test_adam_first_step_hand_value():
     params, p = _single_param(0.0)
-    p.add_grad(np.array([[1.0]]))
-    adam_step(params, AdamState(params), TrainSpec(lr=0.01, weight_decay=0.0))
+    adam_step(params, {"theta": np.array([[1.0]])}, AdamState(params),
+              TrainSpec(lr=0.01, weight_decay=0.0))
     # hand recursion at t=1: m_hat = v_hat = 1, step = -lr / (1 + eps)
-    assert abs(p.value[0, 0] + 0.01 / (1.0 + 1e-8)) < 1e-15
+    assert abs(p[0, 0] + 0.01 / (1.0 + 1e-8)) < 1e-15
 
 
 def test_adam_zero_gradient_leaves_parameter_unchanged():
     params, p = _single_param(3.5)
-    p.add_grad(np.zeros((1, 1)))
-    adam_step(params, AdamState(params), TrainSpec(weight_decay=0.0))
-    assert p.value[0, 0] == 3.5
+    adam_step(params, {"theta": np.zeros((1, 1))}, AdamState(params),
+              TrainSpec(weight_decay=0.0))
+    assert p[0, 0] == 3.5
 
 
 def test_adam_identical_inputs_identical_updates():
     params_a, a = _single_param(1.0)
     params_b, b = _single_param(1.0)
-    a.add_grad(np.array([[0.3]]))
-    b.add_grad(np.array([[0.3]]))
     spec = TrainSpec()
-    adam_step(params_a, AdamState(params_a), spec)
-    adam_step(params_b, AdamState(params_b), spec)
-    assert a.value[0, 0] == b.value[0, 0]
+    adam_step(params_a, {"theta": np.array([[0.3]])}, AdamState(params_a), spec)
+    adam_step(params_b, {"theta": np.array([[0.3]])}, AdamState(params_b), spec)
+    assert a[0, 0] == b[0, 0]
 
 
 def test_adam_requires_backward_first():
     params, _ = _single_param(1.0)
     with pytest.raises(ValueError, match="before backward"):
-        adam_step(params, AdamState(params), TrainSpec())
+        adam_step(params, {}, AdamState(params), TrainSpec())
 
 
-def test_adam_clears_gradients():
-    params, p = _single_param(1.0)
-    p.add_grad(np.array([[1.0]]))
-    adam_step(params, AdamState(params), TrainSpec())
-    assert p.grad is None
+@pytest.mark.parametrize("grad, error, message", [
+    (None, ValueError, "adam_step before backward: no gradient for b"),
+    (np.ones((1, 1)), ValueError, r"gradient shape \(1, 1\) != \(1, 2\) for b"),
+    (np.array([[0.0, np.nan]]), FloatingPointError, "non-finite gradient for b at epoch 1"),
+], ids=["missing", "misshapen", "non-finite"])
+def test_adam_refuses_a_bad_gradient_before_any_parameter_moves(grad, error, message):
+    # "a" comes first and its gradient is good, so a step that moved each
+    # parameter as it checked it would have moved "a"; the (1, 1) gradient
+    # would broadcast against b's (1, 2) if its shape were not checked
+    params = {"a": np.array([[1.0, -2.0]]), "b": np.array([[3.0, 4.0]])}
+    before = {name: value.copy() for name, value in params.items()}
+    grads = {"a": np.ones((1, 2))} | ({} if grad is None else {"b": grad})
+    state = AdamState(params)
+    with pytest.raises(error, match=message):
+        adam_step(params, grads, state, TrainSpec())
+    for name, value in params.items():
+        assert np.array_equal(value, before[name]), name
+    assert state.t == 0 and not any(m.any() for m in state.m.values())
 
 
 def test_adam_weight_decay_pulls_toward_zero():
     params, p = _single_param(5.0)
-    p.add_grad(np.zeros((1, 1)))
-    adam_step(params, AdamState(params), TrainSpec(weight_decay=0.1))
-    assert p.value[0, 0] < 5.0
+    adam_step(params, {"theta": np.zeros((1, 1))}, AdamState(params),
+              TrainSpec(weight_decay=0.1))
+    assert p[0, 0] < 5.0
 
 
 def test_adam_converges_on_quadratic():
@@ -95,9 +106,8 @@ def test_adam_converges_on_quadratic():
     state = AdamState(params)
     spec = TrainSpec(lr=0.01, weight_decay=0.0)
     for _ in range(500):
-        p.add_grad(p.value.copy())  # grad of 0.5 * theta^2
-        adam_step(params, state, spec)
-    assert abs(p.value[0, 0]) < 1e-3
+        adam_step(params, {"theta": p.copy()}, state, spec)  # grad of 0.5 * theta^2
+    assert abs(p[0, 0]) < 1e-3
 
 
 def test_trainspec_validation():
@@ -119,7 +129,7 @@ def _constant_logit_model():
     spec = ModelSpec("mlp", in_dim=2, num_classes=2, layers=2, hidden=2, dropout=0.0)
     model = init_parameters(spec, seed=0)
     for p in model.parameters.values():
-        p.value[...] = 0.0  # logits all zero -> argmax ties resolve to class 0
+        p[...] = 0.0  # logits all zero -> argmax ties resolve to class 0
     return model
 
 
@@ -257,15 +267,14 @@ def test_reported_accuracy_matches_restored_snapshot():
 def test_nonfinite_loss_or_gradient_ends_the_run():
     ds, split = _toy()
     model = init_parameters(ModelSpec("mlp", in_dim=8, num_classes=2), 0)
-    model.parameters["layer0.W"].value[0, 0] = np.nan
+    model.parameters["layer0.W"][0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="loss nan at epoch 1"):
         train(model, ds, split, TrainSpec(epochs=5), seed=0)
 
     params, p = _single_param(1.0)
-    p.add_grad(np.array([[np.inf]]))
     with pytest.raises(FloatingPointError, match="gradient for theta at epoch 1"):
-        adam_step(params, AdamState(params), TrainSpec())
-    assert p.value[0, 0] == 1.0
+        adam_step(params, {"theta": np.array([[np.inf]])}, AdamState(params), TrainSpec())
+    assert p[0, 0] == 1.0
 
 
 def test_train_rejects_bad_split():
@@ -319,8 +328,7 @@ def _reference_train(model, ds, split, tspec, seed):
     for _ in range(tspec.epochs):
         logits, backward = forward_backward(model, ds, context, rng=rng)
         loss, d_logits = cross_entropy(logits, ds.labels, split.train)
-        backward(d_logits)
-        adam_step(model.parameters, state, tspec)
+        adam_step(model.parameters, backward(d_logits), state, tspec)
         val_acc = evaluate(model, ds, split, context)[0]
         losses.append(loss)
         vals.append(val_acc)
@@ -342,7 +350,7 @@ def test_layer0_handoff_is_bit_identical_to_calling_layer0_every_forward(arch, s
     assert np.array_equal(result.val_curve, vals)
     assert result.test_acc_at_best_val == test_acc
     for name, p in model.parameters.items():
-        assert np.array_equal(p.value, reference.parameters[name].value), name
+        assert np.array_equal(p, reference.parameters[name]), name
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
